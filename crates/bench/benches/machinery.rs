@@ -3,13 +3,13 @@
 //! indistinguishability checking. Uses `ba_bench::harness` (no criterion;
 //! the workspace builds offline).
 
-use ba_bench::harness::{BenchConfig, BenchGroup, PerfLog};
+use ba_bench::harness::{BenchConfig, BenchGroup};
 use ba_core::lowerbound::{
     exhaustive_omission_check, merge, swap_omission, ExhaustiveConfig, FamilyRunner, Partition,
 };
 use ba_crypto::Keybook;
 use ba_protocols::DolevStrong;
-use ba_sim::{Bit, Campaign, ExecutorConfig, ProcessId, Round};
+use ba_sim::{Bit, ExecutorConfig, ProcessId, Round};
 
 fn setup(
     n: usize,
@@ -112,213 +112,9 @@ fn bench_exhaustive() {
     }
 }
 
-/// Times full campaign sweeps (scenario grids, stats-only and full-trace,
-/// plus the falsifier grid) and writes the machine-readable
-/// `BENCH_campaign.json` throughput log CI tracks (gated by `perf_gate`
-/// against the committed `BENCH_baseline.json`).
-fn bench_campaign_throughput() {
-    println!("\n== campaign_throughput ==");
-    let mut log = PerfLog::new();
-
-    let nts: Vec<(usize, usize)> = (6..18).map(|n| (n, 2)).collect();
-    let points = Campaign::grid(
-        nts.iter().copied(),
-        &["none", "isolation", "crash", "random-omission"],
-        &["ones", "random"],
-    )
-    .points()
-    .to_vec();
-    // The headline line: the default (stats-mode) sweep — same label as the
-    // pre-TraceMode engine so throughput is comparable across commits.
-    let report = log.time_best("scenario-sweep/dolev-strong", 41, || {
-        let report = ba_bench::dist::scenario_campaign_report(&points, "dolev-strong", 7, 0)
-            .expect("registry sweep");
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (points.len(), total, report)
-    });
-    assert_eq!(report.outcomes.len(), points.len());
-    // The same grid with full traces materialized, validated, and reduced to
-    // stats — what every sweep paid before TraceMode. Kept as a line so the
-    // stats-engine speedup is measured in-repo, hardware-independently.
-    let full = log.time_best("scenario-sweep-fulltrace/dolev-strong", 11, || {
-        let full = ba_bench::dist::scenario_campaign_report_mode(
-            &points,
-            "dolev-strong",
-            7,
-            0,
-            ba_sim::TraceMode::Full,
-        )
-        .expect("registry sweep");
-        let total: u64 = full.stats().map(|(_, s)| s.total_messages).sum();
-        (points.len(), total, full)
-    });
-    assert_eq!(full, report, "sink equivalence must hold on the bench grid");
-
-    // The adaptive fault-model family (execution-observing adversaries:
-    // adaptive corruption, mobile corruption, seeded delivery scheduling)
-    // on the same (n, t) grid — tracked so the trait-dispatched fault layer
-    // stays honest about its hot-path cost.
-    let adaptive_points = Campaign::grid(
-        nts.iter().copied(),
-        &["adaptive-worst-case", "mobile", "scheduler"],
-        &["ones", "random"],
-    )
-    .points()
-    .to_vec();
-    log.time_best("scenario-sweep-adaptive/dolev-strong", 21, || {
-        let report =
-            ba_bench::dist::scenario_campaign_report(&adaptive_points, "dolev-strong", 7, 0)
-                .expect("registry sweep");
-        assert_eq!(report.errors().count(), 0, "{}", report.summary());
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (adaptive_points.len(), total, ())
-    });
-
-    // Large-n stats-only sweeps: the regime the dense buffers + StatsSink
-    // exist for. Full traces at n = 64 would clone every signature chain
-    // two extra times and keep O(n²·rounds) fragment maps resident.
-    let large_nts = [(16usize, 2usize), (32, 2), (48, 2), (64, 2)];
-    let large_points = Campaign::grid(large_nts, &["none", "isolation"], &["ones"])
-        .points()
-        .to_vec();
-    log.time_best("stats-sweep-large-n/dolev-strong", 5, || {
-        let report = ba_bench::dist::scenario_campaign_report(&large_points, "dolev-strong", 11, 0)
-            .expect("registry sweep");
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (large_points.len(), total, ())
-    });
-
-    // Telemetry-overhead pair: the same deep dolev-strong grid (large t →
-    // many rounds, long signature chains) run bare and with a live
-    // Aggregator recorder attached — the Campaign's per-point metrics plus
-    // the engine's RecordingSink round stream. perf_gate's overhead gate
-    // holds the instrumented line within a few percent of the bare one,
-    // and telemetry must stay observation-only — the reports are asserted
-    // bit-identical.
-    let deep_nts = [(16usize, 4usize), (32, 8), (48, 12), (64, 16)];
-    let deep_points = Campaign::grid(deep_nts, &["none", "isolation"], &["ones"])
-        .points()
-        .to_vec();
-    let deep_report = log.time_best("stats-sweep-deep/dolev-strong", 5, || {
-        let report = ba_bench::dist::scenario_campaign_report(&deep_points, "dolev-strong", 11, 0)
-            .expect("registry sweep");
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (deep_points.len(), total, report)
-    });
-    let recorded_report = log.time_best("telemetry-overhead/dolev-strong", 5, || {
-        let agg: std::sync::Arc<dyn ba_obs::Recorder> =
-            std::sync::Arc::new(ba_obs::Aggregator::new());
-        let report = ba_bench::dist::scenario_campaign_report_recorded(
-            &deep_points,
-            "dolev-strong",
-            11,
-            0,
-            agg,
-        )
-        .expect("registry sweep");
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (deep_points.len(), total, report)
-    });
-    assert_eq!(
-        recorded_report, deep_report,
-        "telemetry must be observation-only on the bench grid"
-    );
-    let pk_nts = [(16usize, 4usize), (32, 8), (48, 12), (64, 16)];
-    let pk_points = Campaign::grid(pk_nts, &["none", "isolation"], &["ones"])
-        .points()
-        .to_vec();
-    log.time_best("stats-sweep-large-n/phase-king", 5, || {
-        let report = ba_bench::dist::scenario_campaign_report(&pk_points, "phase-king", 11, 0)
-            .expect("registry sweep");
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (pk_points.len(), total, ())
-    });
-
-    // Broadcast-routing stress: phase-king up to n = 256 (t+1 phases of
-    // all-to-all rounds → tens of millions of messages across the grid).
-    // Only viable at interactive bench timescales because a broadcast
-    // outbox carries one payload + a receiver mask and the stats engine
-    // counts deliveries without cloning; the peak-RSS column keeps the
-    // no-resident-copies claim honest.
-    let huge_nts = [(96usize, 24usize), (128, 32), (192, 48), (256, 64)];
-    let huge_points = Campaign::grid(huge_nts, &["none", "isolation"], &["ones"])
-        .points()
-        .to_vec();
-    log.time_best("stats-sweep-huge-n/phase-king", 3, || {
-        let report = ba_bench::dist::scenario_campaign_report(&huge_points, "phase-king", 11, 0)
-            .expect("registry sweep");
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (huge_points.len(), total, ())
-    });
-
-    // Adversary-search machinery: evaluate a fixed genome population
-    // against the planted one-round-all-to-all bug — the per-candidate
-    // cost every batch of the search drivers pays, through the same
-    // search-mode path distributed workers run.
-    let mut rng = ba_sim::SimRng::seed_from_u64(0x5EA7);
-    let space = ba_search::GenomeSpace::new(5, 1, 6);
-    let search_points: Vec<ba_sim::CampaignPoint> = (0..32)
-        .map(|_| {
-            ba_sim::CampaignPoint::new(5, 1)
-                .with_adversary(ba_search::genome_label(&space.random_genome(&mut rng)))
-        })
-        .collect();
-    log.time_best("search-population/one-round-all-to-all", 21, || {
-        let report =
-            ba_bench::dist::search_campaign_report(&search_points, "one-round-all-to-all", 7, 0)
-                .expect("search-mode sweep");
-        assert_eq!(report.errors().count(), 0, "{}", report.summary());
-        let total: u64 = report.stats().map(|(_, s)| s.total_messages).sum();
-        (search_points.len(), total, ())
-    });
-
-    // Exhaustive model-check throughput: the branching explorer over the
-    // planted one-round bug's full ≤1-corruption send+receive omission
-    // space at n = 5 (1281 executions) — the per-state cost every ba-check
-    // sweep pays, end to end through the registry runner including shrink
-    // and replay revalidation. `points` counts distinct canonical states,
-    // so the tracked rate is states/sec.
-    let check_point = ba_sim::CampaignPoint::new(5, 1)
-        .with_adversary(ba_bench::check::CheckLabel::new(1).render())
-        .with_inputs("zeros");
-    log.time_best("check-states/one-round-all-to-all", 5, || {
-        let sweep =
-            ba_bench::dist::registry_check(&check_point, "one-round-all-to-all", 0, 0, None)
-                .expect("model check");
-        assert!(sweep.refuted, "{}", sweep.verdict);
-        (sweep.states() as usize, sweep.executions, ())
-    });
-
-    let falsifier_grid = [(8usize, 2usize), (10, 2), (12, 4), (16, 8)];
-    log.time_best("falsifier-sweep/leader-echo", 5, || {
-        let sweep = ba_bench::falsifier_sweep(&falsifier_grid, |_point| {
-            |_: ProcessId| ba_protocols::broken::LeaderEcho::new(ProcessId(0))
-        });
-        let total: u64 = sweep.iter().map(|p| p.max_message_complexity).sum();
-        (falsifier_grid.len(), total, ())
-    });
-
-    for sweep in log.sweeps() {
-        println!(
-            "{:<44} {:>8} points {:>12.1} points/sec {:>8.1} MiB peak",
-            sweep.label,
-            sweep.points,
-            sweep.points_per_sec(),
-            sweep.peak_rss_bytes as f64 / (1024.0 * 1024.0)
-        );
-    }
-    // Anchor at the workspace root: cargo runs benches with the *crate*
-    // directory as CWD, but CI (and humans) look for the log at the root.
-    let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join(PerfLog::FILENAME);
-    log.write(out).expect("write BENCH_campaign.json");
-}
-
 fn main() {
     bench_family();
     bench_merge();
     bench_swap_and_checks();
     bench_exhaustive();
-    bench_campaign_throughput();
 }

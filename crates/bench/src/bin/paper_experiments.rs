@@ -1,10 +1,9 @@
-//! Regenerates every figure- and table-shaped experiment of the paper
-//! (see EXPERIMENTS.md for the index).
+//! Regenerates every figure- and table-shaped experiment of the paper.
 //!
 //! Usage:
 //!
 //! ```text
-//! paper-experiments [fig1|fig2|tab1|tab2|thm2|lemma4|thm3|cor1|thm4|thm5|upper|exhaustive|
+//! paper_experiments [fig1|fig2|tab1|tab2|thm2|lemma4|thm3|cor1|thm4|thm5|upper|exhaustive|
 //!                    adaptive|all]
 //!                   [--shards N]
 //! ```
@@ -13,9 +12,12 @@
 //! falsifier sweeps are distributed over N `campaign_worker` processes via
 //! the `ba-dist` coordinator (build the worker first:
 //! `cargo build --release -p ba-bench --bin campaign_worker`); results are
-//! bit-identical to the in-process sweeps.
+//! bit-identical to the in-process sweeps. An unknown section or a bad
+//! `--shards` value is a usage error: nothing runs and the exit status is
+//! non-zero.
 
 use std::collections::BTreeSet;
+use std::process::ExitCode;
 
 use ba_bench::{falsifier_sweep, measure_family_complexity};
 use ba_core::lowerbound::{
@@ -42,63 +44,67 @@ fn header(id: &str, title: &str) {
     println!("{}", "=".repeat(78));
 }
 
-fn main() {
-    let mut section: Option<String> = None;
+/// A section's name and its runner, which gets the `--shards` count.
+type Section = (&'static str, fn(usize));
+
+/// Every section in the order `all` runs them; only `thm2` uses `--shards`.
+const SECTIONS: [Section; 13] = [
+    ("fig1", |_| fig1()),
+    ("fig2", |_| fig2()),
+    ("tab1", |_| tab1()),
+    ("tab2", |_| tab2()),
+    ("thm2", thm2),
+    ("lemma4", |_| lemma4()),
+    ("thm3", |_| thm3()),
+    ("cor1", |_| cor1()),
+    ("thm4", |_| thm4()),
+    ("thm5", |_| thm5()),
+    ("upper", |_| upper()),
+    ("exhaustive", |_| exhaustive()),
+    ("adaptive", |_| adaptive()),
+];
+
+/// Parses `[SECTION] [--shards N]`; the section defaults to `all`.
+fn parse_args() -> Result<(String, usize), String> {
+    let mut section = "all".to_string();
     let mut shards = 1usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--shards" => {
-                shards = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shards needs a number");
+                let raw = args.next().ok_or("--shards needs a value")?;
+                shards = raw
+                    .parse()
+                    .map_err(|e| format!("bad --shards value {raw:?}: {e}"))?;
             }
-            other => section = Some(other.to_string()),
+            "all" => section = arg,
+            other if SECTIONS.iter().any(|&(name, _)| name == other) => section = arg,
+            other => return Err(format!("unknown section {other:?}")),
         }
     }
-    let arg = section.unwrap_or_else(|| "all".to_string());
-    let run_all = arg == "all";
-    if run_all || arg == "fig1" {
-        fig1();
-    }
-    if run_all || arg == "fig2" {
-        fig2();
-    }
-    if run_all || arg == "tab1" {
-        tab1();
-    }
-    if run_all || arg == "tab2" {
-        tab2();
-    }
-    if run_all || arg == "thm2" {
-        thm2(shards);
-    }
-    if run_all || arg == "lemma4" {
-        lemma4();
-    }
-    if run_all || arg == "thm3" {
-        thm3();
-    }
-    if run_all || arg == "cor1" {
-        cor1();
-    }
-    if run_all || arg == "thm4" {
-        thm4();
-    }
-    if run_all || arg == "thm5" {
-        thm5();
-    }
-    if run_all || arg == "upper" {
-        upper();
-    }
-    if run_all || arg == "exhaustive" {
-        exhaustive();
-    }
-    if run_all || arg == "adaptive" {
-        adaptive();
+    Ok((section, shards))
+}
+
+fn main() -> ExitCode {
+    let (section, shards) = match parse_args() {
+        Ok(parsed) => parsed,
+        Err(message) => {
+            let names: Vec<&str> = SECTIONS.iter().map(|&(name, _)| name).collect();
+            eprintln!("paper_experiments: {message}");
+            eprintln!(
+                "usage: paper_experiments [{}|all] [--shards N]",
+                names.join("|")
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    for (name, run) in SECTIONS {
+        if section == "all" || section == name {
+            run(shards);
+        }
     }
     println!();
+    ExitCode::SUCCESS
 }
 
 /// EXP-ADV — the adaptive fault layer: execution-observing adversaries

@@ -671,9 +671,9 @@ pub fn scenario_campaign_report(
 /// Campaign records per-point metrics and threads the recorder into every
 /// scenario, whose [`RecordingSink`](ba_sim::RecordingSink) mirrors the
 /// engine's routing stream. Observation-only — the returned report is
-/// bit-identical to the recorder-less sweep (the
-/// `telemetry-overhead/dolev-strong` bench line asserts this at bench
-/// scale, and gates the wall-clock cost).
+/// bit-identical to the recorder-less sweep (the benchmark's traced run
+/// asserts this at benchmark scale and reports the wall-clock cost as
+/// `obs.recorder_overhead_frac`).
 ///
 /// # Errors
 ///

@@ -4,10 +4,6 @@
 //! this instead of criterion: warm up, run a fixed number of timed
 //! iterations, and print min/mean/max per iteration. Invoke with
 //! `cargo bench -p ba-bench` (the bench targets set `harness = false`).
-//!
-//! Campaign-shaped benches additionally record throughput into a
-//! machine-readable [`PerfLog`] (`BENCH_campaign.json`), so CI can track
-//! the sweep-performance trajectory across commits.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -88,9 +84,8 @@ impl BenchGroup {
 /// The process's peak resident set size ("VmHWM") in bytes, read from
 /// `/proc/self/status`. Best-effort: returns `0` where the file (or the
 /// field) is unavailable, e.g. off Linux. The kernel's high-water mark is
-/// monotone over the process lifetime, so per-sweep readings record "peak
-/// RSS observed by the end of this sweep" — a later sweep can only report
-/// an equal or larger value.
+/// monotone over the process lifetime, so a reading is the largest
+/// footprint the process has had so far, not its current one.
 pub fn peak_rss_bytes() -> u64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0;
@@ -101,171 +96,6 @@ pub fn peak_rss_bytes() -> u64 {
         .and_then(|rest| rest.trim().strip_suffix("kB"))
         .and_then(|kb| kb.trim().parse::<u64>().ok())
         .map_or(0, |kb| kb * 1024)
-}
-
-/// One timed campaign sweep: how many grid points it covered, how many
-/// messages the executions carried, and how long it took.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SweepPerf {
-    /// Sweep label (protocol / experiment name).
-    pub label: String,
-    /// Number of grid points swept.
-    pub points: usize,
-    /// Total messages across all executions of the sweep.
-    pub total_messages: u64,
-    /// Wall-clock time of the sweep.
-    pub elapsed: Duration,
-    /// Peak RSS in bytes observed by the end of the sweep (see
-    /// [`peak_rss_bytes`]; `0` when unavailable).
-    pub peak_rss_bytes: u64,
-}
-
-impl SweepPerf {
-    /// Grid points swept per second of wall-clock; `0.0` when the elapsed
-    /// time was too small to measure (keeps the JSON rendering finite —
-    /// JSON has no `inf`).
-    pub fn points_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.points as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A machine-readable log of campaign sweep throughput, written as
-/// `BENCH_campaign.json` (hand-rolled JSON; the workspace has no serde).
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct PerfLog {
-    sweeps: Vec<SweepPerf>,
-}
-
-impl PerfLog {
-    /// The canonical output filename.
-    pub const FILENAME: &'static str = "BENCH_campaign.json";
-
-    /// An empty log.
-    pub fn new() -> Self {
-        PerfLog::default()
-    }
-
-    fn record(&mut self, label: &str, points: usize, total_messages: u64, elapsed: Duration) {
-        self.sweeps.push(SweepPerf {
-            label: label.to_string(),
-            points,
-            total_messages,
-            elapsed,
-            peak_rss_bytes: peak_rss_bytes(),
-        });
-    }
-
-    /// Times `sweep`, which returns `(points, total_messages, value)`,
-    /// records a [`SweepPerf`] row, and passes the value through.
-    pub fn time<R>(&mut self, label: &str, sweep: impl FnOnce() -> (usize, u64, R)) -> R {
-        let start = Instant::now();
-        let (points, total_messages, value) = sweep();
-        let elapsed = start.elapsed();
-        self.record(label, points, total_messages, elapsed);
-        value
-    }
-
-    /// Like [`PerfLog::time`], but runs the sweep `reps` times (plus one
-    /// untimed warm-up) and records the **best** elapsed time. Millisecond
-    /// sweeps are at the mercy of scheduler noise on shared CI runners; the
-    /// minimum over a few repetitions is the stable throughput estimate the
-    /// regression gate compares.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reps` is zero.
-    pub fn time_best<R>(
-        &mut self,
-        label: &str,
-        reps: u32,
-        mut sweep: impl FnMut() -> (usize, u64, R),
-    ) -> R {
-        assert!(reps > 0, "time_best needs at least one repetition");
-        let _ = std::hint::black_box(sweep());
-        let mut best: Option<(Duration, (usize, u64, R))> = None;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let outcome = sweep();
-            let elapsed = start.elapsed();
-            match &best {
-                Some((b, _)) if elapsed >= *b => {}
-                _ => best = Some((elapsed, outcome)),
-            }
-        }
-        let (elapsed, (points, total_messages, value)) = best.expect("reps > 0");
-        self.record(label, points, total_messages, elapsed);
-        value
-    }
-
-    /// The recorded sweeps.
-    pub fn sweeps(&self) -> &[SweepPerf] {
-        &self.sweeps
-    }
-
-    /// Renders the log as a JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ba-bench/campaign-perf/v1\",\n");
-        let total_points: usize = self.sweeps.iter().map(|s| s.points).sum();
-        let total_secs: f64 = self.sweeps.iter().map(|s| s.elapsed.as_secs_f64()).sum();
-        let aggregate_pps = if total_secs > 0.0 {
-            total_points as f64 / total_secs
-        } else {
-            0.0
-        };
-        out.push_str(&format!(
-            "  \"total_points\": {total_points},\n  \"points_per_sec\": {aggregate_pps:.3},\n"
-        ));
-        out.push_str("  \"sweeps\": [\n");
-        for (i, sweep) in self.sweeps.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"label\": \"{}\", \"points\": {}, \"total_messages\": {}, \
-                 \"elapsed_secs\": {:.6}, \"points_per_sec\": {:.3}, \
-                 \"peak_rss_bytes\": {}}}{}\n",
-                json_escape(&sweep.label),
-                sweep.points,
-                sweep.total_messages,
-                sweep.elapsed.as_secs_f64(),
-                sweep.points_per_sec(),
-                sweep.peak_rss_bytes,
-                if i + 1 < self.sweeps.len() { "," } else { "" },
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON document to `path` and prints where it went.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        std::fs::write(path, self.to_json())?;
-        println!("\nwrote {} ({} sweeps)", path.display(), self.sweeps.len());
-        Ok(())
-    }
-}
-
-fn json_escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn format_duration(d: Duration) -> String {
@@ -294,52 +124,17 @@ mod tests {
     }
 
     #[test]
-    fn perf_log_records_and_renders_json() {
-        let mut log = PerfLog::new();
-        let value = log.time("dolev-strong \"grid\"", || (8usize, 1234u64, 42));
-        assert_eq!(value, 42);
-        log.time("flood-set", || (4usize, 99u64, ()));
-        assert_eq!(log.sweeps().len(), 2);
-        assert!(log.sweeps()[0].points_per_sec().is_finite());
-        assert!(log.sweeps()[0].points_per_sec() >= 0.0);
-        let json = log.to_json();
-        assert!(json.contains("\"schema\": \"ba-bench/campaign-perf/v1\""));
-        assert!(json.contains("\"total_points\": 12"));
-        assert!(json.contains("dolev-strong \\\"grid\\\""), "{json}");
-        assert!(json.contains("\"total_messages\": 1234"));
-        assert!(json.contains("\"peak_rss_bytes\": "));
+    fn peak_rss_bytes_reads_the_high_water_mark() {
         if cfg!(target_os = "linux") {
-            assert!(peak_rss_bytes() > 0, "Linux exposes VmHWM");
+            let before = peak_rss_bytes();
+            assert!(before > 0, "Linux exposes VmHWM");
+            // A touched 8 MiB buffer is resident, so the mark (in bytes,
+            // not kB) covers it and never moves down.
+            let buf = black_box(vec![1u8; 8 << 20]);
+            let after = peak_rss_bytes();
+            assert!(after >= before);
+            assert!(after >= buf.len() as u64, "{after} bytes");
         }
-        // Balanced braces/brackets (cheap well-formedness check).
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-    }
-
-    #[test]
-    fn zero_elapsed_sweeps_still_render_finite_json() {
-        let mut log = PerfLog::new();
-        log.sweeps.push(SweepPerf {
-            label: "instant".into(),
-            points: 5,
-            total_messages: 1,
-            elapsed: Duration::ZERO,
-            peak_rss_bytes: 0,
-        });
-        assert_eq!(log.sweeps()[0].points_per_sec(), 0.0);
-        let json = log.to_json();
-        assert!(!json.contains("inf"), "{json}");
-        assert!(json.contains("\"points_per_sec\": 0.000"), "{json}");
-    }
-
-    #[test]
-    fn json_escape_handles_control_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

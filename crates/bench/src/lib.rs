@@ -10,7 +10,6 @@ use ba_sim::{
 pub mod check;
 pub mod dist;
 pub mod harness;
-pub mod perf;
 pub mod search;
 
 /// A labeled measurement of one protocol's observed message complexity.

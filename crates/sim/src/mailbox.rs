@@ -25,8 +25,7 @@ use crate::ids::ProcessId;
 use crate::value::Payload;
 
 /// Number of inline 64-bit words in a [`ReceiverMask`] — 256 receivers
-/// without touching the heap, which covers every bench grid up to
-/// `stats-sweep-huge-n`.
+/// without touching the heap, which covers every benchmark grid (n ≤ 256).
 const MASK_INLINE_WORDS: usize = 4;
 
 /// A dense set of receiver ids backed by a fixed inline bitset (256 bits)

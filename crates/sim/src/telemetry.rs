@@ -6,7 +6,7 @@
 //! counters, and fault-directive events. Per-message work is a couple of
 //! local integer increments — recorder calls happen at round granularity —
 //! so the instrumented engine stays within a few percent of the bare one
-//! (tracked by the `telemetry-overhead/dolev-strong` bench line).
+//! (the benchmark reports the gap as `obs.recorder_overhead_frac`).
 //!
 //! Everything recorded here is derived from the logical execution (message
 //! counts, rounds, corruption directives), so it lives in the recorder's
