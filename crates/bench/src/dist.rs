@@ -43,6 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ba_check::{CheckError, CheckProgress, CheckSpec};
+use ba_core::lowerbound::FalsifierConfig;
 use ba_crypto::Keybook;
 use ba_dist::{
     CoordEvent, Coordinator, Decode, DistError, Encode, ProgressEvent, ShardManifest, ShardMode,
@@ -191,6 +192,7 @@ pub fn run_manifest_recorded(
             Ok(shard_report.to_wire())
         }
         ShardMode::Falsifier => {
+            validate_falsifier_points(&points)?;
             let sweep =
                 falsifier_report_with(&points, manifest.threads, &manifest.protocol, recorder)?;
             let shard_report = ShardReport {
@@ -250,6 +252,16 @@ fn validate_check_labels(points: &[CampaignPoint]) -> Result<(), String> {
         let spec: CheckSpec<Bit> = label.to_spec(point.n, point.t);
         spec.corruption_subsets()
             .map_err(|e| format!("check at {point}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Rejects falsifier points the Theorem 2 argument cannot run at (see
+/// [`FalsifierConfig::try_new`]) before any work runs.
+fn validate_falsifier_points(points: &[CampaignPoint]) -> Result<(), String> {
+    for point in points {
+        FalsifierConfig::try_new(point.n, point.t)
+            .map_err(|e| format!("falsifier at {point}: {e}"))?;
     }
     Ok(())
 }
@@ -360,6 +372,7 @@ pub fn run_manifest_streaming(
             })
         }
         ShardMode::Falsifier => {
+            validate_falsifier_points(&points)?;
             with_registry_factory!(manifest.protocol.as_str(), factory => {
                 stream_falsifier_entries(manifest, factory, progress, emit)
             })
@@ -669,10 +682,10 @@ pub fn scenario_campaign_report(
 
 /// [`scenario_campaign_report`] with a telemetry recorder attached: the
 /// Campaign records per-point metrics and threads the recorder into every
-/// scenario, whose [`RecordingSink`](ba_sim::RecordingSink) mirrors the
-/// engine's routing stream. Observation-only — the returned report is
-/// bit-identical to the recorder-less sweep (the benchmark's traced run
-/// asserts this at benchmark scale and reports the wall-clock cost as
+/// scenario, whose executor mirrors its routing stream into it.
+/// Observation-only — the returned report is bit-identical to the
+/// recorder-less sweep (the benchmark's traced run asserts this at
+/// benchmark scale and reports the wall-clock cost as
 /// `obs.recorder_overhead_frac`).
 ///
 /// # Errors

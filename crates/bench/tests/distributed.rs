@@ -334,4 +334,26 @@ fn worker_binary_rejects_garbage_and_unknown_labels() {
     let unknown = run_with_stdin(&plan_shards(&spec, 1)[0].to_wire());
     assert!(!unknown.status.success());
     assert!(String::from_utf8_lossy(&unknown.stderr).contains("no-such-protocol"));
+
+    // The Theorem 2 argument needs t ≥ 2: a falsifier point below it is
+    // rejected up front with a typed message naming the point, not a
+    // worker panic.
+    let point = CampaignPoint::new(5, 1);
+    let manifest = &plan_shards(&SweepSpec::falsifier(vec![point.clone()], "flood-set"), 1)[0];
+    let too_small = run_with_stdin(&manifest.to_wire());
+    assert!(!too_small.status.success());
+    let stderr = String::from_utf8_lossy(&too_small.stderr);
+    assert!(
+        stderr.contains(&format!("falsifier at {point}")),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let direct = ba_bench::dist::run_manifest(manifest).unwrap_err();
+    assert!(direct.contains(&point.to_string()), "{direct}");
+    let emitted = std::sync::Mutex::new(Vec::new());
+    let streamed = ba_bench::dist::run_manifest_streaming(manifest, false, &|chunk: &str| {
+        emitted.lock().unwrap().push(chunk.to_string())
+    });
+    assert_eq!(streamed, Err(direct));
+    assert!(emitted.into_inner().unwrap().is_empty());
 }

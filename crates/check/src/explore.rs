@@ -24,8 +24,7 @@ use std::sync::Mutex;
 
 use ba_core::lowerbound::{weak_consensus_violation, Certificate, ViolationKind};
 use ba_sim::{
-    par_map, Adversary, Bit, CompressedExecution, Execution, Payload, PayloadArena, ProcessId,
-    Protocol, Scenario,
+    par_map, Adversary, Bit, CompressedTrace, Outcomes, PayloadArena, ProcessId, Protocol, Scenario,
 };
 
 use crate::tape::{PointRec, TapeModel};
@@ -142,8 +141,9 @@ impl ProgressSink<'_> {
     }
 }
 
-/// Runs one tape: interprets it through a [`TapeModel`], fingerprints the
-/// execution through `arena`, and classifies the verdict.
+/// Runs one tape: interprets it through a [`TapeModel`], records the
+/// execution compressed into `arena`, then fingerprints and classifies it
+/// in that form.
 fn run_leaf<P, F>(
     spec: &CheckSpec<P::Msg>,
     subsets: &[BTreeSet<ProcessId>],
@@ -161,8 +161,8 @@ where
         .protocol(factory)
         .inputs(proposals.iter().cloned())
         .adversary(Adversary::model(&mut model))
-        .run()?;
-    let fingerprint = CompressedExecution::compress(&execution, arena).fingerprint(arena);
+        .run_with_sink(CompressedTrace::new(arena))?;
+    let fingerprint = execution.fingerprint(arena);
     let violation = classify(&execution);
     Ok(Leaf {
         points: model.points().to_vec(),
@@ -172,18 +172,22 @@ where
     })
 }
 
-/// Full weak-consensus verdict of one execution: the shared
-/// Termination/Agreement scan, plus Weak Validity on fully correct
+/// Full weak-consensus verdict of one execution, full or compressed: the
+/// shared Termination/Agreement scan, plus Weak Validity on fully correct
 /// uniform-proposal executions (the only ones it constrains).
-fn classify<M: Payload>(execution: &Execution<Bit, Bit, M>) -> Option<ViolationKind> {
+fn classify<E>(execution: &E) -> Option<ViolationKind>
+where
+    E: Outcomes<Input = Bit, Output = Bit>,
+{
     if let Some(kind) = weak_consensus_violation(execution) {
         return Some(kind);
     }
-    if !execution.faulty.is_empty() {
+    if !execution.faulty().is_empty() {
         return None;
     }
-    let proposed = execution.records.first()?.proposal;
-    if execution.records.iter().any(|r| r.proposal != proposed) {
+    let mut proposals = ProcessId::all(execution.n()).map(|p| *execution.proposal(p));
+    let proposed = proposals.next()?;
+    if proposals.any(|v| v != proposed) {
         return None;
     }
     for process in execution.correct() {

@@ -19,8 +19,8 @@
 //!   enough, then fans the frontier subtrees out over
 //!   [`ba_sim::par_map`] — results are merged in deterministic order, so
 //!   the outcome is **bit-identical at every thread count**;
-//! * hash-conses every visited execution through
-//!   [`ba_sim::PayloadArena`] / [`ba_sim::CompressedExecution`] and
+//! * records every visited execution straight into a
+//!   [`ba_sim::PayloadArena`] ([`ba_sim::CompressedTrace`]) and
 //!   deduplicates states by the content-addressed
 //!   [`fingerprint`](ba_sim::CompressedExecution::fingerprint) — distinct
 //!   adversary branches that produce the same execution count as one

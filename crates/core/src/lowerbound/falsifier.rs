@@ -45,8 +45,8 @@ use std::sync::Arc;
 
 use ba_obs::{NoopRecorder, Recorder};
 use ba_sim::{
-    Bit, Execution, ExecutionInvariantError, ExecutorConfig, Payload, ProcessId, Protocol, Round,
-    SimError,
+    Bit, CompressedTrace, Execution, ExecutionInvariantError, ExecutorConfig, Outcomes, Payload,
+    PayloadArena, ProcessId, Protocol, Round, SimError,
 };
 
 use super::family::{FamilyRunner, Partition};
@@ -116,19 +116,31 @@ impl FalsifierConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `2 ≤ t < n` and the paper partition fits (see
-    /// [`Partition::paper_default`]).
+    /// Panics where [`FalsifierConfig::try_new`] returns an error.
     pub fn new(n: usize, t: usize) -> Self {
-        let cfg = FalsifierConfig {
+        Self::try_new(n, t).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a configuration with the default horizon, or says why the
+    /// argument cannot run at `(n, t)`.
+    ///
+    /// # Errors
+    ///
+    /// Unless `2 ≤ t < n` and the paper partition fits (see
+    /// [`Partition::paper_default`]).
+    pub fn try_new(n: usize, t: usize) -> Result<Self, String> {
+        if t >= n {
+            return Err(format!("need t < n; t = {t}, n = {n}"));
+        }
+        Partition::try_paper_default(n, t)?;
+        Ok(FalsifierConfig {
             n,
             t,
             horizon: 4 * (t as u64 + 2) + 8,
             parallel_orientations: None,
             parallel_scan: None,
             recorder: None,
-        };
-        let _ = cfg.partition(); // validate early
-        cfg
+        })
     }
 
     /// Forces orientation parallelism on or off (default: by size).
@@ -365,9 +377,14 @@ impl<M: Payload> Certificate<M> {
 /// different decisions yield [`ViolationKind::Agreement`]. Weak Validity is
 /// deliberately out of scope — it only applies to fully correct executions
 /// and is checked separately by callers that enumerate those.
-pub fn weak_consensus_violation<M: Payload>(
-    exec: &Execution<Bit, Bit, M>,
-) -> Option<ViolationKind> {
+///
+/// It reads `exec` through [`Outcomes`], so a full [`Execution`] and an
+/// arena-backed [`CompressedExecution`](ba_sim::CompressedExecution) are
+/// classified by this one function, each in the form it was recorded in.
+pub fn weak_consensus_violation<E>(exec: &E) -> Option<ViolationKind>
+where
+    E: Outcomes<Input = Bit, Output = Bit>,
+{
     let mut decided: Option<(Bit, ProcessId)> = None;
     for p in exec.correct() {
         match exec.decision_of(p) {
@@ -796,18 +813,19 @@ where
         rmax.0
     ));
 
-    // Helper: run one isolation execution, require a clean verdict of the
-    // correct processes, and apply the Lemma 2 engine to the isolated group.
-    let examine = |exec: Execution<Bit, Bit, P::Msg>,
+    // Helper: examine one isolation execution, require a clean verdict of
+    // the correct processes, and apply the Lemma 2 engine to the isolated
+    // group. Borrows: only a certificate copies the execution.
+    let examine = |exec: &Execution<Bit, Bit, P::Msg>,
                    group: &BTreeSet<ProcessId>,
                    label: &str,
                    prov: &[String],
                    stats: &mut Stats<'_>|
      -> Result<Bit, Box<Certificate<P::Msg>>> {
-        stats.observe(&exec);
+        stats.observe(exec);
         debug_assert_eq!(exec.validate(), Ok(()));
-        let verdict = correct_verdict(&exec, prov, label)?;
-        if let Some(cert) = lemma2_violation(&exec, group, verdict, prov, label) {
+        let verdict = correct_verdict(exec, prov, label)?;
+        if let Some(cert) = lemma2_violation(exec, group, verdict, prov, label) {
             return Err(Box::new(cert));
         }
         Ok(verdict)
@@ -815,12 +833,12 @@ where
 
     // Step 2/3: the k = 1 isolation executions and the Lemma 3 pairs.
     let eb1_0 = runner.isolated_b::<P>(Round(1), Bit::Zero)?;
-    let x = match examine(eb1_0.clone(), partition.b(), "E_B(1)_0", &prov, stats) {
+    let x = match examine(&eb1_0, partition.b(), "E_B(1)_0", &prov, stats) {
         Ok(v) => v,
         Err(cert) => return Ok(Some(*cert)),
     };
     let ec1_0 = runner.isolated_c::<P>(Round(1), Bit::Zero)?;
-    let y = match examine(ec1_0.clone(), partition.c(), "E_C(1)_0", &prov, stats) {
+    let y = match examine(&ec1_0, partition.c(), "E_C(1)_0", &prov, stats) {
         Ok(v) => v,
         Err(cert) => return Ok(Some(*cert)),
     };
@@ -841,7 +859,7 @@ where
         );
     }
     let ec1_1 = runner.isolated_c::<P>(Round(1), Bit::One)?;
-    let z = match examine(ec1_1.clone(), partition.c(), "E_C(1)_1", &prov, stats) {
+    let z = match examine(&ec1_1, partition.c(), "E_C(1)_1", &prov, stats) {
         Ok(v) => v,
         Err(cert) => return Ok(Some(*cert)),
     };
@@ -888,20 +906,19 @@ where
     // statistics are value-identical to the sequential scan. Work past the
     // stopping point is speculative and discarded unexamined.
     let scan_rounds: Vec<u64> = (2..=rmax.0 + 1).collect();
-    // Speculative executions are held *compressed* (payloads interned into a
-    // per-task arena, fragments as u32 handles) while they wait their turn —
-    // all-to-all traces repeat the same few payloads across n² slots per
-    // round, so the resident cost of the whole scan is a handful of distinct
-    // payloads per k instead of the full cloned traces. Hydration in the
+    // Speculative executions are recorded *compressed* (payloads interned
+    // into a per-task arena, fragments as u32 handles) while they wait their
+    // turn — all-to-all traces repeat the same few payloads across n² slots
+    // per round, so the resident cost of the whole scan is a handful of
+    // distinct payloads per k instead of the full traces. Hydration in the
     // walk below is a lossless bit-for-bit round trip.
     let precomputed: Option<Vec<Result<_, SimError>>> =
         if cfg.scan_in_parallel() && scan_rounds.len() > 1 {
             Some(ba_sim::par_map(scan_rounds.clone(), 0, |_, k| {
-                runner.isolated_b::<P>(Round(k), Bit::Zero).map(|e| {
-                    let mut arena = ba_sim::PayloadArena::new();
-                    let compressed = ba_sim::CompressedExecution::compress(&e, &mut arena);
-                    (arena, compressed)
-                })
+                let mut arena = PayloadArena::new();
+                runner
+                    .isolated_b_with::<P, _>(Round(k), Bit::Zero, CompressedTrace::new(&mut arena))
+                    .map(|compressed| (arena, compressed))
             }))
         } else {
             None
@@ -922,13 +939,7 @@ where
             }
             None => runner.isolated_b::<P>(Round(k), Bit::Zero)?,
         };
-        let d = match examine(
-            e.clone(),
-            partition.b(),
-            &format!("E_B({k})_0"),
-            &prov,
-            stats,
-        ) {
+        let d = match examine(&e, partition.b(), &format!("E_B({k})_0"), &prov, stats) {
             Ok(v) => v,
             Err(cert) => return Ok(Some(*cert)),
         };
@@ -971,7 +982,7 @@ where
     // Step 6 (Lemma 5): merge the appropriate pair with E_C(R)_0.
     let ec_r = runner.isolated_c::<P>(r, Bit::Zero)?;
     let w = match examine(
-        ec_r.clone(),
+        &ec_r,
         partition.c(),
         &format!("E_C({})_0", r.0),
         &prov,

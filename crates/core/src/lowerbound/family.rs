@@ -4,7 +4,8 @@
 use std::collections::BTreeSet;
 
 use ba_sim::{
-    Adversary, Bit, Execution, ExecutorConfig, ProcessId, Protocol, Round, Scenario, SimError,
+    Adversary, Bit, Execution, ExecutorConfig, FullTrace, ProcessId, Protocol, Round, Scenario,
+    SimError, TraceSink,
 };
 
 /// A partition `(A, B, C)` of `Π` with `B` and `C` the isolation groups
@@ -57,16 +58,26 @@ impl Partition {
     /// Panics unless `t ≥ 2` (two disjoint non-empty groups must fit in the
     /// fault budget) and `n ≥ 2·max(1, ⌊t/4⌋) + 1`.
     pub fn paper_default(n: usize, t: usize) -> Self {
-        assert!(
-            t >= 2,
-            "the merged execution needs |B| + |C| ≤ t with both non-empty; t = {t} < 2"
-        );
+        Self::try_paper_default(n, t).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Partition::paper_default`], or why it does not fit: it needs
+    /// `t ≥ 2` (two disjoint non-empty groups must fit in the fault budget)
+    /// and `n ≥ 2·max(1, ⌊t/4⌋) + 1`.
+    pub(crate) fn try_paper_default(n: usize, t: usize) -> Result<Self, String> {
+        if t < 2 {
+            return Err(format!(
+                "the merged execution needs |B| + |C| ≤ t with both non-empty; t = {t} < 2"
+            ));
+        }
         let g = (t / 4).max(1);
-        assert!(n > 2 * g, "need n > 2·{g} for a non-empty group A");
+        if n <= 2 * g {
+            return Err(format!("need n > 2·{g} for a non-empty group A"));
+        }
         let c: BTreeSet<ProcessId> = (n - g..n).map(ProcessId).collect();
         let b: BTreeSet<ProcessId> = (n - 2 * g..n - g).map(ProcessId).collect();
         let a: BTreeSet<ProcessId> = (0..n - 2 * g).map(ProcessId).collect();
-        Partition { a, b, c }
+        Ok(Partition { a, b, c })
     }
 
     /// Group `A` (correct in every family execution).
@@ -145,7 +156,28 @@ impl<'f, F> FamilyRunner<'f, F> {
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
     {
-        self.isolated::<P>(self.partition.b.clone(), k, bit)
+        self.isolated_b_with(k, bit, FullTrace::new())
+    }
+
+    /// [`FamilyRunner::isolated_b`] recorded by a caller's [`TraceSink`] —
+    /// e.g. a [`CompressedTrace`](ba_sim::CompressedTrace) for executions
+    /// held resident.
+    ///
+    /// # Errors
+    ///
+    /// Propagates simulator errors.
+    pub(crate) fn isolated_b_with<P, S>(
+        &self,
+        k: Round,
+        bit: Bit,
+        sink: S,
+    ) -> Result<S::Output, SimError>
+    where
+        P: Protocol<Input = Bit, Output = Bit>,
+        F: Fn(ProcessId) -> P,
+        S: TraceSink<P>,
+    {
+        self.isolated(self.partition.b.clone(), k, bit, sink)
     }
 
     /// `E_C(k)_bit`: all processes propose `bit`; group `C` is isolated from
@@ -159,24 +191,26 @@ impl<'f, F> FamilyRunner<'f, F> {
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
     {
-        self.isolated::<P>(self.partition.c.clone(), k, bit)
+        self.isolated(self.partition.c.clone(), k, bit, FullTrace::new())
     }
 
-    fn isolated<P>(
+    fn isolated<P, S>(
         &self,
         group: BTreeSet<ProcessId>,
         k: Round,
         bit: Bit,
-    ) -> Result<Execution<Bit, Bit, P::Msg>, SimError>
+        sink: S,
+    ) -> Result<S::Output, SimError>
     where
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
+        S: TraceSink<P>,
     {
         Scenario::config(&self.cfg)
             .protocol(self.factory)
             .uniform_input(bit)
             .adversary(Adversary::isolation(group, k))
-            .run()
+            .run_with_sink(sink)
     }
 }
 

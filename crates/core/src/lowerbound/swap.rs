@@ -65,6 +65,13 @@ impl Error for SwapError {}
 /// process (Lemma 15(2)): received messages, states, proposals, and
 /// decisions are untouched — only fault attribution moves.
 ///
+/// The post-swap fault set is sized before anything is copied: it is every
+/// sender the pivot receive-omitted from, plus every other process that
+/// already omits (the surgery only adds send-omissions at those senders and
+/// clears the pivot's receive-omissions). An oversize set — the common
+/// outcome against a quadratic protocol — is rejected without cloning the
+/// execution.
+///
 /// # Errors
 ///
 /// * [`SwapError::PivotSendOmitted`] if the pivot itself send-omitted
@@ -79,47 +86,41 @@ where
     O: Value,
     M: Payload,
 {
-    if exec.record(pivot).all_send_omitted().next().is_some() {
+    let pivot_record = exec.record(pivot);
+    if pivot_record.all_send_omitted().next().is_some() {
         return Err(SwapError::PivotSendOmitted { pivot });
     }
 
-    let mut out = exec.clone();
-
-    // Collect the (round, sender) index of every message the pivot
-    // receive-omitted, then clear them at the pivot.
-    let dropped: Vec<(usize, ProcessId)> = out.records[pivot.index()]
-        .fragments
-        .iter()
-        .enumerate()
-        .flat_map(|(j, frag)| frag.receive_omitted.keys().map(move |s| (j, *s)))
+    // The fault set after the swap (Algorithm 4 lines 10–11).
+    let mut faulty: BTreeSet<ProcessId> = pivot_record
+        .all_receive_omitted()
+        .map(|(_, sender, _)| sender)
         .collect();
+    faulty.extend(ProcessId::all(exec.n).filter(|p| {
+        let rec = exec.record(*p);
+        *p != pivot
+            && (rec.all_send_omitted().next().is_some()
+                || rec.all_receive_omitted().next().is_some())
+    }));
+    if faulty.len() > exec.t {
+        return Err(SwapError::TooManyFaulty {
+            got: faulty.len(),
+            t: exec.t,
+        });
+    }
+
+    let mut out = exec.clone();
     for frag in &mut out.records[pivot.index()].fragments {
         frag.receive_omitted.clear();
     }
-
     // Re-attribute: the sender send-omitted the message instead.
-    for (j, sender) in dropped {
-        let frag = &mut out.records[sender.index()].fragments[j];
+    for (round, sender, _) in pivot_record.all_receive_omitted() {
+        let frag = &mut out.records[sender.index()].fragments[round.index()];
         let payload = frag
             .sent
             .remove(&pivot)
             .expect("receive-validity: a receive-omitted message was sent");
         frag.send_omitted.insert(pivot, payload);
-    }
-
-    // Recompute the fault set: exactly the processes still committing
-    // omissions (Algorithm 4 lines 10–11).
-    let faulty: BTreeSet<ProcessId> = ba_sim::ProcessId::all(out.n)
-        .filter(|p| {
-            let rec = &out.records[p.index()];
-            rec.all_send_omitted().next().is_some() || rec.all_receive_omitted().next().is_some()
-        })
-        .collect();
-    if faulty.len() > out.t {
-        return Err(SwapError::TooManyFaulty {
-            got: faulty.len(),
-            t: out.t,
-        });
     }
     out.faulty = faulty;
     Ok(out)
@@ -129,7 +130,7 @@ where
 mod tests {
     use super::*;
     use ba_sim::{
-        Adversary, Bit, Fate, Inbox, Outbox, ProcessCtx, Protocol, Round, Scenario,
+        Adversary, Bit, Fate, Inbox, Outbox, ProcessCtx, Protocol, Round, Scenario, SimRng,
         TableOmissionPlan,
     };
 
@@ -288,5 +289,95 @@ mod tests {
             );
         }
         assert_eq!(swapped.faulty, [ProcessId(3)].into());
+    }
+
+    /// The processes that commit any omission in `exec`, read off its
+    /// fragments (not its recorded fault set).
+    fn omitting(exec: &Execution<Bit, Bit, Bit>) -> BTreeSet<ProcessId> {
+        ProcessId::all(exec.n)
+            .filter(|p| {
+                let rec = exec.record(*p);
+                rec.all_send_omitted().next().is_some()
+                    || rec.all_receive_omitted().next().is_some()
+            })
+            .collect()
+    }
+
+    /// Seeded omission-table executions: a random fault set of size ≤ `t`,
+    /// each faulty sender send-omitting and each faulty receiver
+    /// receive-omitting a random share of its traffic.
+    fn table_runs(seed: u64, count: usize) -> Vec<Execution<Bit, Bit, Bit>> {
+        let mut rng = SimRng::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                let n = rng.gen_index(3, 9);
+                let t = rng.gen_index(1, n);
+                let mut ids: Vec<ProcessId> = ProcessId::all(n).collect();
+                rng.shuffle(&mut ids);
+                let faulty: BTreeSet<ProcessId> =
+                    ids.into_iter().take(rng.gen_index(1, t + 1)).collect();
+                let mut plan = TableOmissionPlan::new();
+                for round in 1..=3 {
+                    for sender in ProcessId::all(n) {
+                        for receiver in ProcessId::all(n).filter(|r| *r != sender) {
+                            if faulty.contains(&sender) && rng.gen_bool(0.3) {
+                                plan.set(Round(round), sender, receiver, Fate::SendOmit);
+                            } else if faulty.contains(&receiver) && rng.gen_bool(0.4) {
+                                plan.set(Round(round), sender, receiver, Fate::ReceiveOmit);
+                            }
+                        }
+                    }
+                }
+                Scenario::new(n, t)
+                    .protocol(|_| Broadcaster::new(3))
+                    .uniform_input(Bit::Zero)
+                    .adversary(Adversary::omission(faulty, plan))
+                    .run()
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn early_rejection_counts_exactly_the_post_swap_fault_set() {
+        let mut executions = table_runs(0x5EED_5A4B, 48);
+        for n in 4..=7 {
+            for t in 1..n {
+                for size in 1..=t {
+                    let group: Vec<usize> = (n - size..n).collect();
+                    for from in 1..=2 {
+                        executions.push(isolated_run(n, t, &group, Round(from)));
+                    }
+                }
+            }
+        }
+        let mut rejected = 0;
+        for exec in &executions {
+            for pivot in ProcessId::all(exec.n) {
+                // The same surgery with the budget out of the way.
+                let mut unbounded = exec.clone();
+                unbounded.t = unbounded.n;
+                let surgery = swap_omission(&unbounded, pivot);
+                match swap_omission(exec, pivot) {
+                    Err(SwapError::TooManyFaulty { got, t }) => {
+                        let swapped = surgery.expect("only the budget rejected the swap");
+                        assert_eq!(t, exec.t);
+                        assert!(got > t);
+                        assert_eq!(got, omitting(&swapped).len(), "pivot {pivot}");
+                        rejected += 1;
+                    }
+                    Ok(swapped) => {
+                        assert_eq!(swapped.faulty, omitting(&swapped), "pivot {pivot}");
+                        let mut surgery = surgery.unwrap();
+                        surgery.t = exec.t;
+                        assert_eq!(swapped, surgery);
+                    }
+                    Err(err @ SwapError::PivotSendOmitted { .. }) => {
+                        assert_eq!(surgery, Err(err));
+                    }
+                }
+            }
+        }
+        assert!(rejected > 0, "no swap exercised the early rejection");
     }
 }

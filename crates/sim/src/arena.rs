@@ -2,18 +2,26 @@
 //! [`CompressedExecution`] for cheap *resident* executions.
 //!
 //! All-to-all protocols repeat the same few payloads across thousands of
-//! fragment slots (`n²` per round), so holding many [`Execution`]s resident
-//! for cross-execution analysis — the falsifier's `E_B(k)` scan, the future
-//! exhaustive model checker — used to cost one owned payload clone per slot.
-//! Interning stores each **distinct** payload once and replaces every slot
-//! with a dense [`PayloadId`] (`u32`) handle; compress → hydrate round-trips
-//! are lossless and bit-identical, which is what lets the falsifier keep its
-//! precomputed scan executions compressed without changing a single verdict.
+//! fragment slots (`n²` per round). Interning stores each **distinct**
+//! payload once and replaces every slot with a dense [`PayloadId`] (`u32`)
+//! handle; compress → hydrate round-trips are lossless and bit-identical.
+//!
+//! Who records which form:
+//!
+//! * [`CompressedTrace`](crate::CompressedTrace) records a run straight
+//!   into a caller's arena. `ba-check`'s explorer reads the result through
+//!   [`CompressedExecution::fingerprint`] (state dedup) and the shared
+//!   [`Outcomes`] accessor (verdicts); the falsifier's parallel `E_B(k)`
+//!   scan keeps its speculative executions in this form and hydrates each
+//!   one only when the sequential walk reaches it.
+//! * [`FullTrace`](crate::FullTrace) records the full [`Execution`] in
+//!   place, without an arena; [`CompressedExecution::compress`] turns one
+//!   into handle form after the fact.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
-use crate::execution::{Execution, FaultMode, ProcessRecord, RoundFragment};
+use crate::execution::{Execution, FaultMode, Outcomes, ProcessRecord, RoundFragment};
 use crate::ids::{ProcessId, Round};
 use crate::value::{Payload, Value};
 
@@ -212,7 +220,7 @@ pub struct CompressedExecution<I, O> {
     /// The adversary model of the source execution.
     pub mode: FaultMode,
     /// The corrupted processes.
-    pub faulty: std::collections::BTreeSet<ProcessId>,
+    pub faulty: BTreeSet<ProcessId>,
     /// One compressed record per process.
     pub records: Vec<CompressedRecord<I, O>>,
     /// Number of executed rounds.
@@ -356,6 +364,27 @@ impl<I: Value, O: Value> CompressedExecution<I, O> {
                 f.sent.len() + f.send_omitted.len() + f.received.len() + f.receive_omitted.len()
             })
             .sum()
+    }
+}
+
+impl<I: Value, O: Value> Outcomes for CompressedExecution<I, O> {
+    type Input = I;
+    type Output = O;
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn faulty(&self) -> &BTreeSet<ProcessId> {
+        &self.faulty
+    }
+
+    fn proposal(&self, pid: ProcessId) -> &I {
+        &self.records[pid.index()].proposal
+    }
+
+    fn decision_of(&self, pid: ProcessId) -> Option<&O> {
+        self.records[pid.index()].decision.as_ref().map(|(v, _)| v)
     }
 }
 

@@ -178,6 +178,67 @@ pub struct Execution<I, O, M> {
     pub quiescent: bool,
 }
 
+/// Who was faulty, what each process proposed and what it decided: the
+/// part of a recorded execution an agreement verdict reads.
+///
+/// Both recorded forms implement it — the full [`Execution`] and the
+/// arena-backed [`CompressedExecution`](crate::CompressedExecution) — so a
+/// verdict over decisions is written once and reads either form as
+/// recorded, without hydrating or compressing it first.
+pub trait Outcomes {
+    /// The proposal domain.
+    type Input: Value;
+    /// The decision domain.
+    type Output: Value;
+
+    /// Number of processes `n`.
+    fn n(&self) -> usize;
+
+    /// The corrupted processes.
+    fn faulty(&self) -> &BTreeSet<ProcessId>;
+
+    /// The proposal of `pid`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range.
+    fn proposal(&self, pid: ProcessId) -> &Self::Input;
+
+    /// The value `pid` decided, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range.
+    fn decision_of(&self, pid: ProcessId) -> Option<&Self::Output>;
+
+    /// The correct processes, in id order.
+    fn correct(&self) -> impl Iterator<Item = ProcessId> + '_ {
+        let faulty = self.faulty();
+        ProcessId::all(self.n()).filter(move |p| !faulty.contains(p))
+    }
+}
+
+impl<I: Value, O: Value, M: Payload> Outcomes for Execution<I, O, M> {
+    type Input = I;
+    type Output = O;
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn faulty(&self) -> &BTreeSet<ProcessId> {
+        &self.faulty
+    }
+
+    fn proposal(&self, pid: ProcessId) -> &I {
+        &self.record(pid).proposal
+    }
+
+    fn decision_of(&self, pid: ProcessId) -> Option<&O> {
+        self.record(pid).decided_value()
+    }
+}
+
 impl<I: Value, O: Value, M: Payload> Execution<I, O, M> {
     /// The record of `pid`.
     ///

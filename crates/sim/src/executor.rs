@@ -17,6 +17,8 @@
 //!
 use std::collections::BTreeSet;
 
+use ba_obs::Recorder;
+
 use crate::error::SimError;
 use crate::execution::FaultMode;
 use crate::fault::{Envelope, ExecutionView, FaultBudget, FaultDirective, FaultModel, Routing};
@@ -25,6 +27,7 @@ use crate::mailbox::{Inbox, Outbox};
 use crate::protocol::{ProcessCtx, Protocol};
 use crate::scenario::BoxedBehavior;
 use crate::sink::{RunSummary, TraceMode, TraceSink};
+use crate::telemetry::Telemetry;
 use crate::value::Payload;
 
 /// Static configuration of an execution run.
@@ -158,6 +161,7 @@ impl<P: Protocol> Slot<'_, P> {
 /// now) while the *charged* set — every process ever corrupted — is what
 /// the budget bounds and what the produced execution records as its fault
 /// set, so adaptive and mobile runs still satisfy `|F| ≤ t`.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_slots<P, S>(
     cfg: &ExecutorConfig,
     mut slots: Vec<Slot<'_, P>>,
@@ -166,6 +170,7 @@ pub(crate) fn run_slots<P, S>(
     model: &mut dyn FaultModel<P::Msg>,
     mode: FaultMode,
     mut sink: S,
+    recorder: Option<&dyn Recorder>,
 ) -> Result<S::Output, SimError>
 where
     P: Protocol,
@@ -219,6 +224,7 @@ where
         .collect();
 
     sink.init(n, proposals);
+    let mut telemetry = recorder.map(Telemetry::start);
     let mut decisions: Vec<Option<(P::Output, Round)>> = vec![None; n];
 
     // Round-1 outboxes come from `propose` (paper §A.1.3: first-round
@@ -238,6 +244,8 @@ where
     // Routed-traffic counters, the model's observation window.
     let mut sent_count = vec![0u64; n];
     let mut delivered_count = vec![0u64; n];
+    // Every message routed, sent or send-omitted (telemetry only).
+    let mut routed = 0u64;
 
     let reorders = model.reorders();
     let mut queue: Vec<Envelope> = Vec::new();
@@ -277,6 +285,7 @@ where
                 n,
                 round,
                 &mut sink,
+                telemetry.as_ref(),
             )?;
         }
 
@@ -301,6 +310,7 @@ where
                     // per-receiver decisions (statically dispatched — and
                     // inlined — inside its own `route_broadcast` body).
                     routings.clear();
+                    routed += mask.len() as u64;
                     model.route_broadcast(view!(round), sender, &mask, &payload, &mut routings);
                     debug_assert_eq!(
                         routings.len(),
@@ -325,6 +335,7 @@ where
                     // Mixed unicast + broadcast round (rare): the merged
                     // drain preserves ascending receiver order, cloning the
                     // broadcast payload per receiver like the legacy path.
+                    routed += outbox.len() as u64;
                     for (receiver, payload) in outbox.drain() {
                         let routing = model.route(view!(round), sender, receiver, &payload);
                         route_one::<P, S>(
@@ -355,6 +366,7 @@ where
                 );
             }
             model.schedule(view!(round), &mut queue);
+            routed += queue.len() as u64;
             for envelope in &queue {
                 let (sender, receiver) = (envelope.sender(), envelope.receiver());
                 let payload = outboxes[sender.index()]
@@ -390,6 +402,9 @@ where
             inboxes[i].clear();
             observe_decision(&mut decisions[i], slot, ProcessId(i), round.next())?;
         }
+        if let Some(telemetry) = telemetry.as_mut() {
+            telemetry.round_done(sent_count.iter().sum());
+        }
 
         // Quiescence: nothing in flight and every correct process decided.
         if cfg.stop_when_quiescent && !any_pending {
@@ -409,7 +424,7 @@ where
         quiescent = outboxes.iter().all(Outbox::is_empty);
     }
 
-    Ok(sink.finish(RunSummary {
+    let summary = RunSummary {
         n,
         t: cfg.t,
         mode,
@@ -418,7 +433,11 @@ where
         sent_counts: sent_count,
         rounds: rounds_run,
         quiescent,
-    }))
+    };
+    if let Some(telemetry) = &telemetry {
+        telemetry.finish(&summary, routed, delivered_count.iter().sum());
+    }
+    Ok(sink.finish(summary))
 }
 
 /// Applies one round's corruption directives, enforcing the joint budget:
@@ -426,7 +445,8 @@ where
 /// The reported bound is the *violated* one — the cap the model declared —
 /// not the scenario's `t`, so the diagnostic stays truthful when a model
 /// overruns a budget smaller than `t`. Set changes are reported to the
-/// sink's (default no-op) directive hooks, in directive order.
+/// sink's (default no-op) directive hooks and the telemetry, in directive
+/// order.
 #[allow(clippy::too_many_arguments)]
 fn apply_directives<P, S>(
     directives: Vec<FaultDirective>,
@@ -436,6 +456,7 @@ fn apply_directives<P, S>(
     n: usize,
     round: Round,
     sink: &mut S,
+    telemetry: Option<&Telemetry<'_>>,
 ) -> Result<(), SimError>
 where
     P: Protocol,
@@ -454,11 +475,17 @@ where
                     });
                 }
                 if corrupted.insert(p) {
+                    if let Some(telemetry) = telemetry {
+                        telemetry.corrupted(round, p);
+                    }
                     sink.corrupted(round, p);
                 }
             }
             FaultDirective::Release(p) => {
                 if corrupted.remove(&p) {
+                    if let Some(telemetry) = telemetry {
+                        telemetry.released(round, p);
+                    }
                     sink.released(round, p);
                 }
             }

@@ -150,7 +150,8 @@ pub use byzantine::{
 pub use campaign::{Campaign, CampaignPoint, CampaignReport, ScenarioOutcome, ScenarioStats};
 pub use error::SimError;
 pub use execution::{
-    DecisionOutcome, Execution, ExecutionInvariantError, FaultMode, ProcessRecord, RoundFragment,
+    DecisionOutcome, Execution, ExecutionInvariantError, FaultMode, Outcomes, ProcessRecord,
+    RoundFragment,
 };
 pub use executor::ExecutorConfig;
 pub use fault::{
@@ -170,8 +171,7 @@ pub use scenario::{
     Adversary, BoxedBehavior, BoxedFaultModel, BoxedPlan, ProtocolScenario, Scenario,
     ScenarioResult,
 };
-pub use sink::{FullTrace, RunSummary, StatsSink, TraceMode, TraceSink};
-pub use telemetry::RecordingSink;
+pub use sink::{CompressedTrace, FullTrace, RunSummary, StatsSink, TraceMode, TraceSink};
 pub use trace::{
     first_inbox_divergence, payload_reuse, render_divergence, render_execution, round_stats,
     RoundStats,

@@ -25,7 +25,6 @@ use crate::ids::{ProcessId, Round};
 use crate::plan::{CrashPlan, IsolationPlan, OmissionPlan};
 use crate::protocol::Protocol;
 use crate::sink::{FullTrace, StatsSink, TraceMode, TraceSink};
-use crate::telemetry::RecordingSink;
 use crate::value::{Payload, Value};
 
 /// A boxed omission strategy, as accepted by [`Adversary::omission`].
@@ -416,10 +415,10 @@ where
         self
     }
 
-    /// Installs a telemetry [`Recorder`]: the run's sink is wrapped in a
-    /// [`RecordingSink`], mirroring per-round traffic and fault-directive
-    /// events into the recorder. Recording is **observation-only** — every
-    /// entry point produces bit-identical results with or without it.
+    /// Installs a telemetry [`Recorder`]: the executor mirrors per-round
+    /// traffic, run totals and fault-directive events into it, whatever the
+    /// sink. Recording is **observation-only** — every entry point produces
+    /// bit-identical results with or without it.
     pub fn recorder(mut self, recorder: Arc<dyn Recorder>) -> Self {
         self.recorder = Some(recorder);
         self
@@ -471,20 +470,12 @@ where
     /// Drives the execution with a caller-provided [`TraceSink`] — the
     /// extension point behind [`ProtocolScenario::run`] ([`FullTrace`]) and
     /// [`ProtocolScenario::run_stats`] ([`StatsSink`]). A configured
-    /// [`recorder`](ProtocolScenario::recorder) wraps the sink in a
-    /// [`RecordingSink`] first.
+    /// [`recorder`](ProtocolScenario::recorder) observes the run.
     ///
     /// # Errors
     ///
     /// As [`ProtocolScenario::run`].
-    pub fn run_with_sink<S: TraceSink<P>>(mut self, sink: S) -> Result<S::Output, SimError> {
-        match self.recorder.take() {
-            Some(recorder) => self.execute(RecordingSink::new(sink, recorder)),
-            None => self.execute(sink),
-        }
-    }
-
-    fn execute<S: TraceSink<P>>(self, sink: S) -> Result<S::Output, SimError> {
+    pub fn run_with_sink<S: TraceSink<P>>(self, sink: S) -> Result<S::Output, SimError> {
         let cfg = self.base.resolve_config()?;
         let inputs = self.inputs.ok_or(SimError::ProposalCount {
             got: 0,
@@ -504,7 +495,16 @@ where
             // A behavior was assigned to a process outside 0..n.
             return Err(SimError::BehaviorMismatch { process: stray });
         }
-        run_slots(&cfg, slots, &inputs, &byzantine, model.as_mut(), mode, sink)
+        run_slots(
+            &cfg,
+            slots,
+            &inputs,
+            &byzantine,
+            model.as_mut(),
+            mode,
+            sink,
+            self.recorder.as_deref(),
+        )
     }
 }
 

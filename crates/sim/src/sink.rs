@@ -4,15 +4,20 @@
 //! the omission plan and emits routing events to a [`TraceSink`]. What the
 //! run produces is the sink's choice:
 //!
-//! * [`FullTrace`] materializes the trace-complete
-//!   [`Execution`](crate::Execution) the proof machinery operates on
-//!   (`swap_omission`, `merge`, [`Execution::validate`](crate::Execution::validate))
-//!   — bit-for-bit what the engine always produced;
+//! * [`FullTrace`] writes payloads straight into the trace-complete
+//!   [`Execution`](crate::Execution) the proof machinery reads
+//!   (`swap_omission`, `merge`, [`Execution::validate`](crate::Execution::validate),
+//!   certificates); its only payload clone is one per sent message;
+//! * [`CompressedTrace`] records the same trace into a caller's
+//!   [`PayloadArena`] as a [`CompressedExecution`] of `u32` handles — the
+//!   form `ba-check` fingerprints and the falsifier's parallel scan keeps
+//!   resident; hydrating it through the arena equals the [`FullTrace`]
+//!   execution bit for bit;
 //! * [`StatsSink`] accumulates a [`ScenarioStats`] report with **zero
 //!   payload clones and no fragment allocation** — the fast path for
 //!   campaign sweeps that only consume aggregate statistics.
 //!
-//! [`TraceMode`] names the two built-in sinks so infrastructure
+//! [`TraceMode`] picks between [`FullTrace`] and [`StatsSink`] so infrastructure
 //! ([`ExecutorConfig`](crate::ExecutorConfig), [`Scenario`](crate::Scenario),
 //! [`Campaign`](crate::Campaign)) can dispatch without naming sink types;
 //! custom sinks plug in through
@@ -22,10 +27,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::arena::{CompressedExecution, CompressedFragment, CompressedRecord, PayloadArena};
 use crate::campaign::ScenarioStats;
-use crate::execution::{Execution, FaultMode};
+use crate::execution::{Execution, FaultMode, ProcessRecord, RoundFragment};
 use crate::ids::{ProcessId, Round};
 use crate::mailbox::Inbox;
 use crate::protocol::Protocol;
+use crate::value::Payload;
 
 /// Which built-in [`TraceSink`] stats-producing entry points drive.
 ///
@@ -137,28 +143,65 @@ pub trait TraceSink<P: Protocol> {
 /// constructions inspect, identical to what the engine recorded before
 /// sinks existed.
 ///
-/// Internally the trace is recorded **arena-backed**: every payload is
-/// hash-consed into a per-run [`PayloadArena`] and fragments hold dense
-/// `u32` [`PayloadId`](crate::PayloadId) handles, so an all-to-all round
-/// costs one stored payload per *distinct* message instead of one clone per
-/// fragment slot. [`finish`](TraceSink::finish) hydrates the compressed
-/// trace into the exact [`Execution`] the eager recorder produced.
+/// Payloads are written straight into the [`RoundFragment`] maps, each map
+/// built in bulk by one `collect()`: `received` from the drained inbox, the
+/// other three from per-process buffers flushed when the next round begins
+/// (or the run finishes). Bulk-built maps pack their B-tree nodes full,
+/// which entry-at-a-time insertion would leave half empty.
 pub struct FullTrace<P: Protocol> {
-    arena: PayloadArena<P::Msg>,
-    records: Vec<CompressedRecord<P::Input, P::Output>>,
+    records: Vec<ProcessRecord<P::Input, P::Output, P::Msg>>,
+    pending: Vec<Pending<P::Msg>>,
+}
+
+/// One process's routing events of the current round, not yet in its
+/// fragment: `(counterpart, payload)` in routing order.
+struct Pending<M> {
+    sent: Vec<(ProcessId, M)>,
+    send_omitted: Vec<(ProcessId, M)>,
+    receive_omitted: Vec<(ProcessId, M)>,
+}
+
+impl<M: Payload> Pending<M> {
+    fn new() -> Self {
+        Pending {
+            sent: Vec::new(),
+            send_omitted: Vec::new(),
+            receive_omitted: Vec::new(),
+        }
+    }
+
+    /// Moves the buffered events into `fragment`, keeping the buffers'
+    /// capacity for the next round.
+    fn flush_into(&mut self, fragment: &mut RoundFragment<M>) {
+        for (buffer, map) in [
+            (&mut self.sent, &mut fragment.sent),
+            (&mut self.send_omitted, &mut fragment.send_omitted),
+            (&mut self.receive_omitted, &mut fragment.receive_omitted),
+        ] {
+            if !buffer.is_empty() {
+                *map = buffer.drain(..).collect();
+            }
+        }
+    }
 }
 
 impl<P: Protocol> FullTrace<P> {
     /// An empty full-trace sink.
     pub fn new() -> Self {
         FullTrace {
-            arena: PayloadArena::new(),
             records: Vec::new(),
+            pending: Vec::new(),
         }
     }
 
-    fn fragment(&mut self, pid: ProcessId, round: Round) -> &mut CompressedFragment {
-        &mut self.records[pid.index()].fragments[round.index()]
+    /// Writes the buffered events of the last begun round into its
+    /// fragments.
+    fn flush(&mut self) {
+        for (rec, pending) in self.records.iter_mut().zip(&mut self.pending) {
+            if let Some(fragment) = rec.fragments.last_mut() {
+                pending.flush_into(fragment);
+            }
+        }
     }
 }
 
@@ -170,6 +213,117 @@ impl<P: Protocol> Default for FullTrace<P> {
 
 impl<P: Protocol> TraceSink<P> for FullTrace<P> {
     type Output = Execution<P::Input, P::Output, P::Msg>;
+
+    fn init(&mut self, n: usize, proposals: &[P::Input]) {
+        self.records = proposals
+            .iter()
+            .map(|v| ProcessRecord {
+                proposal: v.clone(),
+                decision: None,
+                fragments: Vec::new(),
+            })
+            .collect();
+        self.pending = (0..n).map(|_| Pending::new()).collect();
+    }
+
+    fn begin_round(&mut self, _round: Round) {
+        self.flush();
+        for rec in &mut self.records {
+            rec.fragments.push(RoundFragment::empty());
+        }
+    }
+
+    fn sent(&mut self, _round: Round, sender: ProcessId, receiver: ProcessId, payload: &P::Msg) {
+        self.pending[sender.index()]
+            .sent
+            .push((receiver, payload.clone()));
+    }
+
+    fn send_omitted(
+        &mut self,
+        _round: Round,
+        sender: ProcessId,
+        receiver: ProcessId,
+        payload: P::Msg,
+    ) {
+        self.pending[sender.index()]
+            .send_omitted
+            .push((receiver, payload));
+    }
+
+    fn receive_omitted(
+        &mut self,
+        _round: Round,
+        sender: ProcessId,
+        receiver: ProcessId,
+        payload: P::Msg,
+    ) {
+        self.pending[receiver.index()]
+            .receive_omitted
+            .push((sender, payload));
+    }
+
+    fn absorb_inbox(&mut self, round: Round, receiver: ProcessId, inbox: &mut Inbox<P::Msg>) {
+        // The drain yields ascending senders; an exact-size buffer lets the
+        // map build in bulk without regrowing it.
+        if inbox.is_empty() {
+            return;
+        }
+        let mut received = Vec::with_capacity(inbox.len());
+        received.extend(inbox.drain());
+        self.records[receiver.index()].fragments[round.index()].received =
+            received.into_iter().collect();
+    }
+
+    fn finish(mut self, summary: RunSummary<P>) -> Self::Output {
+        self.flush();
+        for (rec, decision) in self.records.iter_mut().zip(summary.decisions) {
+            rec.decision = decision;
+        }
+        Execution {
+            n: summary.n,
+            t: summary.t,
+            mode: summary.mode,
+            faulty: summary.faulty,
+            records: self.records,
+            rounds: summary.rounds,
+            quiescent: summary.quiescent,
+        }
+    }
+}
+
+/// The arena-backed trace sink: records the same trace as [`FullTrace`],
+/// but interns every payload into a caller's [`PayloadArena`] and produces
+/// a [`CompressedExecution`] of dense [`PayloadId`](crate::PayloadId)
+/// handles. An all-to-all round then costs one stored payload per
+/// *distinct* message instead of one clone per fragment slot, and the
+/// result fingerprints without a second pass.
+///
+/// Readers that keep many executions resident or only fingerprint them use
+/// it: `ba-check`'s explorer and the falsifier's parallel critical-round
+/// scan. [`CompressedExecution::hydrate`] through the same arena yields
+/// exactly what [`FullTrace`] records for the run.
+pub struct CompressedTrace<'a, P: Protocol> {
+    arena: &'a mut PayloadArena<P::Msg>,
+    records: Vec<CompressedRecord<P::Input, P::Output>>,
+}
+
+impl<'a, P: Protocol> CompressedTrace<'a, P> {
+    /// An empty compressed-trace sink interning into `arena`.
+    pub fn new(arena: &'a mut PayloadArena<P::Msg>) -> Self {
+        CompressedTrace {
+            arena,
+            records: Vec::new(),
+        }
+    }
+
+    fn fragment(&mut self, pid: ProcessId, round: Round) -> &mut CompressedFragment {
+        &mut self.records[pid.index()].fragments[round.index()]
+    }
+}
+
+impl<P: Protocol> TraceSink<P> for CompressedTrace<'_, P> {
+    type Output = CompressedExecution<P::Input, P::Output>;
 
     fn init(&mut self, _n: usize, proposals: &[P::Input]) {
         self.records = proposals
@@ -233,7 +387,7 @@ impl<P: Protocol> TraceSink<P> for FullTrace<P> {
         for (rec, decision) in self.records.iter_mut().zip(summary.decisions) {
             rec.decision = decision;
         }
-        let compressed = CompressedExecution {
+        CompressedExecution {
             n: summary.n,
             t: summary.t,
             mode: summary.mode,
@@ -241,8 +395,7 @@ impl<P: Protocol> TraceSink<P> for FullTrace<P> {
             records: self.records,
             rounds: summary.rounds,
             quiescent: summary.quiescent,
-        };
-        compressed.hydrate(&self.arena)
+        }
     }
 }
 

@@ -1,30 +1,27 @@
-//! Observation-only execution telemetry: the [`RecordingSink`] wrapper.
+//! Observation-only execution telemetry: the engine's [`Telemetry`] hook.
 //!
-//! [`RecordingSink`] wraps any [`TraceSink`] and mirrors the engine's
-//! routing stream into a [`ba_obs::Recorder`] without changing what the
-//! run produces: per-round traffic histograms, run-level message/round
-//! counters, and fault-directive events. Per-message work is a couple of
-//! local integer increments — recorder calls happen at round granularity —
-//! so the instrumented engine stays within a few percent of the bare one
-//! (the benchmark reports the gap as `obs.recorder_overhead_frac`).
+//! With a [`ba_obs::Recorder`] installed
+//! ([`ProtocolScenario::recorder`](crate::ProtocolScenario::recorder)), the
+//! executor mirrors its routing into it without changing what the run
+//! produces: per-round traffic histograms, run-level message/round
+//! counters, and fault-directive events. The numbers come from the
+//! engine's own per-process traffic counters, read once per round, so
+//! recording adds no per-message work and no second copy of the executor
+//! for every sink type (the benchmark reports the remaining gap as
+//! `obs.recorder_overhead_frac`).
 //!
 //! Everything recorded here is derived from the logical execution (message
 //! counts, rounds, corruption directives), so it lives in the recorder's
 //! **deterministic channel**: identical across thread counts, shardings,
 //! and trace modes.
 
-use std::sync::Arc;
-
 use ba_obs::Recorder;
 
 use crate::ids::{ProcessId, Round};
-use crate::mailbox::Inbox;
 use crate::protocol::Protocol;
-use crate::sink::{RunSummary, TraceSink};
+use crate::sink::RunSummary;
 
-/// Wraps a [`TraceSink`], forwarding every engine event unchanged while
-/// recording telemetry. `Output` and produced values are exactly the inner
-/// sink's — recording is observation-only by construction.
+/// One run's telemetry, driven by the executor.
 ///
 /// Emitted metrics (all deterministic):
 ///
@@ -34,88 +31,32 @@ use crate::sink::{RunSummary, TraceSink};
 /// * counter `exec.rounds`, counter `exec.quiescent_runs`;
 /// * histogram `exec.decision.rounds` — decision round per correct process;
 /// * counter `exec.budget.spend` + events `fault.corrupt` / `fault.release`
-///   with `round`/`process` fields, from the engine's directive hooks.
-pub struct RecordingSink<S> {
-    inner: S,
-    recorder: Arc<dyn Recorder>,
-    round_sent: u64,
-    round_open: bool,
-    sent: u64,
-    send_omitted: u64,
-    receive_omitted: u64,
+///   with `round`/`process` fields, from the engine's directives.
+pub(crate) struct Telemetry<'r> {
+    recorder: &'r dyn Recorder,
+    /// Successful sends of the run up to the last closed round.
+    sent_before: u64,
 }
 
-impl<S> RecordingSink<S> {
-    /// Wraps `inner`, recording into `recorder`.
-    pub fn new(inner: S, recorder: Arc<dyn Recorder>) -> Self {
-        RecordingSink {
-            inner,
+impl<'r> Telemetry<'r> {
+    /// Opens one run's telemetry.
+    pub(crate) fn start(recorder: &'r dyn Recorder) -> Self {
+        recorder.counter("exec.runs", 1, &[]);
+        Telemetry {
             recorder,
-            round_sent: 0,
-            round_open: false,
-            sent: 0,
-            send_omitted: 0,
-            receive_omitted: 0,
+            sent_before: 0,
         }
     }
 
-    fn flush_round(&mut self) {
-        if self.round_open {
-            self.recorder
-                .histogram("exec.round.messages", self.round_sent, &[]);
-            self.round_sent = 0;
-            self.round_open = false;
-        }
-    }
-}
-
-impl<P: Protocol, S: TraceSink<P>> TraceSink<P> for RecordingSink<S> {
-    type Output = S::Output;
-
-    fn init(&mut self, n: usize, proposals: &[P::Input]) {
-        self.recorder.counter("exec.runs", 1, &[]);
-        self.inner.init(n, proposals);
+    /// Closes a round, given the run's successful sends so far.
+    pub(crate) fn round_done(&mut self, sent: u64) {
+        self.recorder
+            .histogram("exec.round.messages", sent - self.sent_before, &[]);
+        self.sent_before = sent;
     }
 
-    fn begin_round(&mut self, round: Round) {
-        self.flush_round();
-        self.round_open = true;
-        self.inner.begin_round(round);
-    }
-
-    fn sent(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &P::Msg) {
-        self.sent += 1;
-        self.round_sent += 1;
-        self.inner.sent(round, sender, receiver, payload);
-    }
-
-    fn send_omitted(
-        &mut self,
-        round: Round,
-        sender: ProcessId,
-        receiver: ProcessId,
-        payload: P::Msg,
-    ) {
-        self.send_omitted += 1;
-        self.inner.send_omitted(round, sender, receiver, payload);
-    }
-
-    fn receive_omitted(
-        &mut self,
-        round: Round,
-        sender: ProcessId,
-        receiver: ProcessId,
-        payload: P::Msg,
-    ) {
-        self.receive_omitted += 1;
-        self.inner.receive_omitted(round, sender, receiver, payload);
-    }
-
-    fn absorb_inbox(&mut self, round: Round, receiver: ProcessId, inbox: &mut Inbox<P::Msg>) {
-        self.inner.absorb_inbox(round, receiver, inbox);
-    }
-
-    fn corrupted(&mut self, round: Round, process: ProcessId) {
+    /// `process` joined the corruption set entering `round`.
+    pub(crate) fn corrupted(&self, round: Round, process: ProcessId) {
         self.recorder.counter("exec.budget.spend", 1, &[]);
         self.recorder.event(
             "fault.corrupt",
@@ -124,10 +65,10 @@ impl<P: Protocol, S: TraceSink<P>> TraceSink<P> for RecordingSink<S> {
                 ("process", process.index().into()),
             ],
         );
-        self.inner.corrupted(round, process);
     }
 
-    fn released(&mut self, round: Round, process: ProcessId) {
+    /// `process` left the corruption set entering `round`.
+    pub(crate) fn released(&self, round: Round, process: ProcessId) {
         self.recorder.event(
             "fault.release",
             &[
@@ -135,15 +76,17 @@ impl<P: Protocol, S: TraceSink<P>> TraceSink<P> for RecordingSink<S> {
                 ("process", process.index().into()),
             ],
         );
-        self.inner.released(round, process);
     }
 
-    fn finish(mut self, summary: RunSummary<P>) -> Self::Output {
-        self.flush_round();
-        let r = &self.recorder;
-        r.counter("exec.messages.sent", self.sent, &[]);
-        r.counter("exec.messages.send_omitted", self.send_omitted, &[]);
-        r.counter("exec.messages.receive_omitted", self.receive_omitted, &[]);
+    /// Closes the run: of the `routed` messages, `delivered` reached an
+    /// inbox; every routed message was either sent or send-omitted, and
+    /// every sent one delivered or receive-omitted.
+    pub(crate) fn finish<P: Protocol>(&self, summary: &RunSummary<P>, routed: u64, delivered: u64) {
+        let r = self.recorder;
+        let sent: u64 = summary.sent_counts.iter().sum();
+        r.counter("exec.messages.sent", sent, &[]);
+        r.counter("exec.messages.send_omitted", routed - sent, &[]);
+        r.counter("exec.messages.receive_omitted", sent - delivered, &[]);
         r.counter("exec.rounds", summary.rounds, &[]);
         if summary.quiescent {
             r.counter("exec.quiescent_runs", 1, &[]);
@@ -156,7 +99,6 @@ impl<P: Protocol, S: TraceSink<P>> TraceSink<P> for RecordingSink<S> {
                 r.histogram("exec.decision.rounds", decided.0, &[]);
             }
         }
-        self.inner.finish(summary)
     }
 }
 
@@ -166,18 +108,35 @@ mod tests {
 
     use ba_obs::Aggregator;
 
-    use crate::mailbox::Outbox;
+    use crate::mailbox::{Inbox, Outbox};
     use crate::protocol::ProcessCtx;
     use crate::scenario::{Adversary, Scenario};
     use crate::value::Bit;
 
     use super::*;
 
-    /// Broadcasts its proposal for two rounds, then decides it.
+    /// Sends its proposal to everyone for two rounds, then decides it:
+    /// one message per peer, or one broadcast when `broadcast` is set (the
+    /// executor routes the two shapes on different paths).
     #[derive(Clone)]
     struct Gossip {
         proposal: Bit,
         decision: Option<Bit>,
+        broadcast: bool,
+    }
+
+    impl Gossip {
+        fn outbox(&self, ctx: &ProcessCtx) -> Outbox<Bit> {
+            let mut out = Outbox::new();
+            if self.broadcast {
+                out.broadcast(ctx.others(), self.proposal);
+            } else {
+                for peer in ctx.others() {
+                    out.send(peer, self.proposal);
+                }
+            }
+            out
+        }
     }
 
     impl Protocol for Gossip {
@@ -187,19 +146,15 @@ mod tests {
 
         fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
             self.proposal = proposal;
-            let mut out = Outbox::new();
-            out.send_to_all(ctx.others(), proposal);
-            out
+            self.outbox(ctx)
         }
 
         fn round(&mut self, ctx: &ProcessCtx, round: Round, _: &Inbox<Bit>) -> Outbox<Bit> {
-            let mut out = Outbox::new();
             if round.0 < 2 {
-                out.send_to_all(ctx.others(), self.proposal);
-            } else {
-                self.decision = Some(self.proposal);
+                return self.outbox(ctx);
             }
-            out
+            self.decision = Some(self.proposal);
+            Outbox::new()
         }
 
         fn decision(&self) -> Option<Bit> {
@@ -211,6 +166,59 @@ mod tests {
         Gossip {
             proposal: Bit::Zero,
             decision: None,
+            broadcast: true,
+        }
+    }
+
+    #[test]
+    fn omission_counters_match_the_execution() {
+        // Per-peer sends, broadcasts and a reordering scheduler take the
+        // executor's three routing paths.
+        let adversaries = || -> [Adversary<'static, Bit, Bit>; 3] {
+            [
+                Adversary::isolation([ProcessId(4)], Round(2)),
+                Adversary::omission(
+                    [ProcessId(3)],
+                    crate::plan::RandomOmissionPlan::new([ProcessId(3)], 0.5, 0.5, 7),
+                ),
+                Adversary::scheduler(ProcessId(4), 2, 11),
+            ]
+        };
+        for broadcast in [false, true] {
+            let factory = |_: ProcessId| Gossip {
+                broadcast,
+                ..gossip(ProcessId(0))
+            };
+            for (bare, recorded) in adversaries().into_iter().zip(adversaries()) {
+                let exec = Scenario::new(5, 1)
+                    .protocol(factory)
+                    .uniform_input(Bit::One)
+                    .adversary(bare)
+                    .run()
+                    .unwrap();
+                let agg = Arc::new(Aggregator::new());
+                Scenario::new(5, 1)
+                    .protocol(factory)
+                    .uniform_input(Bit::One)
+                    .adversary(recorded)
+                    .recorder(agg.clone())
+                    .run_stats()
+                    .unwrap();
+                let counters = agg.snapshot().counters;
+                let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+                let omitted = |f: fn(&crate::ProcessRecord<Bit, Bit, Bit>) -> usize| {
+                    exec.records.iter().map(f).sum::<usize>() as u64
+                };
+                assert_eq!(count("exec.messages.sent"), exec.total_messages());
+                assert_eq!(
+                    count("exec.messages.send_omitted"),
+                    omitted(|r| r.all_send_omitted().count())
+                );
+                assert_eq!(
+                    count("exec.messages.receive_omitted"),
+                    omitted(|r| r.all_receive_omitted().count())
+                );
+            }
         }
     }
 

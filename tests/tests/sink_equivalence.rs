@@ -6,6 +6,11 @@
 //!
 //! This is the property that lets campaigns default to stats-only sweeps
 //! (`TraceMode::Stats`) without changing a single reported number.
+//!
+//! Over the same grid, the in-place [`FullTrace`] execution must equal the
+//! arena-recorded [`CompressedTrace`] one hydrated through its arena, with
+//! equal fingerprints — which pins `ba-check`'s state counts (it
+//! fingerprints the compressed form) to the full traces bit for bit.
 
 use ba_crypto::Keybook;
 use ba_protocols::broken::{
@@ -13,8 +18,9 @@ use ba_protocols::broken::{
 };
 use ba_protocols::{DolevStrong, EigConsensus, FloodSet, PhaseKing};
 use ba_sim::{
-    Adversary, Bit, Campaign, Payload, ProcessId, Protocol, RandomOmissionPlan, Round, Scenario,
-    ScenarioStats, SilentByzantine, SimRng, TraceMode,
+    Adversary, Bit, Campaign, CompressedTrace, Payload, PayloadArena, ProcessId, Protocol,
+    ProtocolScenario, RandomOmissionPlan, Round, Scenario, ScenarioStats, SilentByzantine, SimRng,
+    TraceMode,
 };
 
 /// Adversary flavors under test. `mixed` corrupts two processes, so it only
@@ -76,35 +82,97 @@ fn inputs(label: &str, n: usize, seed: u64) -> Vec<Bit> {
     }
 }
 
-/// Runs one scenario through both engines and asserts identical outcomes —
-/// equal stats on success, equal typed errors on failure.
-fn assert_equivalent<P, F>(context: &str, n: usize, t: usize, factory: F, adv: &str, inp: &str)
+/// One per-scenario property, checked for every protocol of the grid.
+trait ScenarioCheck {
+    fn check<P, F>(&self, context: &str, n: usize, t: usize, factory: F, adv: &str, inp: &str)
+    where
+        P: Protocol<Input = Bit, Output = Bit>,
+        F: Fn(ProcessId) -> P;
+}
+
+/// Builds one grid scenario; the seed depends on `(n, t)` only.
+fn scenario<'a, P, F>(
+    n: usize,
+    t: usize,
+    factory: &'a F,
+    adv: &str,
+    inp: &str,
+) -> ProtocolScenario<'a, P, &'a F>
 where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P,
 {
     let seed = (n as u64) << 32 | (t as u64) << 16 | 7;
-    let build = || {
-        Scenario::new(n, t)
-            .protocol(&factory)
-            .inputs(inputs(inp, n, seed))
-            .adversary(adversary(adv, n, t, seed))
-    };
-    let full = build().run().map(|exec| {
-        exec.validate()
-            .unwrap_or_else(|e| panic!("{context}: engine produced invalid execution: {e}"));
-        ScenarioStats::from_execution(&exec)
-    });
-    let stats = build().run_stats();
-    assert_eq!(
-        full, stats,
-        "{context}: StatsSink diverged from FullTrace-derived stats"
-    );
+    Scenario::new(n, t)
+        .protocol(factory)
+        .inputs(inputs(inp, n, seed))
+        .adversary(adversary(adv, n, t, seed))
+}
+
+/// Runs one scenario through both engines and asserts identical outcomes —
+/// equal stats on success, equal typed errors on failure.
+struct StatsMatchFullTrace;
+
+impl ScenarioCheck for StatsMatchFullTrace {
+    fn check<P, F>(&self, context: &str, n: usize, t: usize, factory: F, adv: &str, inp: &str)
+    where
+        P: Protocol<Input = Bit, Output = Bit>,
+        F: Fn(ProcessId) -> P,
+    {
+        let full = scenario(n, t, &factory, adv, inp).run().map(|exec| {
+            exec.validate()
+                .unwrap_or_else(|e| panic!("{context}: engine produced invalid execution: {e}"));
+            ScenarioStats::from_execution(&exec)
+        });
+        let stats = scenario(n, t, &factory, adv, inp).run_stats();
+        assert_eq!(
+            full, stats,
+            "{context}: StatsSink diverged from FullTrace-derived stats"
+        );
+    }
+}
+
+/// Runs one scenario through `FullTrace` and `CompressedTrace` and asserts
+/// the hydrated compressed run equals the full one, with one fingerprint.
+struct FullTraceMatchesArena;
+
+impl ScenarioCheck for FullTraceMatchesArena {
+    fn check<P, F>(&self, context: &str, n: usize, t: usize, factory: F, adv: &str, inp: &str)
+    where
+        P: Protocol<Input = Bit, Output = Bit>,
+        F: Fn(ProcessId) -> P,
+    {
+        let full = scenario(n, t, &factory, adv, inp).run();
+        let mut arena = PayloadArena::new();
+        let compressed =
+            scenario(n, t, &factory, adv, inp).run_with_sink(CompressedTrace::new(&mut arena));
+        let (full, compressed) = match (full, compressed) {
+            (Ok(full), Ok(compressed)) => (full, compressed),
+            (full, compressed) => {
+                assert_eq!(
+                    full.err(),
+                    compressed.err(),
+                    "{context}: the sinks disagree on the run's outcome"
+                );
+                return;
+            }
+        };
+        assert_eq!(
+            full,
+            compressed.hydrate(&arena),
+            "{context}: FullTrace diverged from the hydrated CompressedTrace"
+        );
+        let mut own = PayloadArena::new();
+        assert_eq!(
+            full.compress(&mut own).fingerprint(&own),
+            compressed.fingerprint(&arena),
+            "{context}: fingerprints differ across the two recorders"
+        );
+    }
 }
 
 /// Every protocol × adversary × input profile over a small `(n, t)` grid.
-#[test]
-fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
+fn over_grid(property: &impl ScenarioCheck) {
     // n > 3t throughout so phase-king and EIG participate everywhere. Small
     // sizes on purpose: the property is about engine code paths (fates,
     // modes, violations), which tiny systems already exercise; scale
@@ -117,8 +185,8 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
             }
             for inp in INPUTS {
                 let ctx = |p: &str| format!("{p} n={n} t={t} adv={adv} in={inp}");
-                assert_equivalent(&ctx("flood-set"), n, t, |_| FloodSet::new(), adv, inp);
-                assert_equivalent(
+                property.check(&ctx("flood-set"), n, t, |_| FloodSet::new(), adv, inp);
+                property.check(
                     &ctx("dolev-strong"),
                     n,
                     t,
@@ -126,8 +194,8 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
                     adv,
                     inp,
                 );
-                assert_equivalent(&ctx("phase-king"), n, t, |_| PhaseKing::new(n, t), adv, inp);
-                assert_equivalent(
+                property.check(&ctx("phase-king"), n, t, |_| PhaseKing::new(n, t), adv, inp);
+                property.check(
                     &ctx("eig"),
                     n,
                     t,
@@ -135,7 +203,7 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
                     adv,
                     inp,
                 );
-                assert_equivalent(
+                property.check(
                     &ctx("leader-echo"),
                     n,
                     t,
@@ -143,8 +211,8 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
                     adv,
                     inp,
                 );
-                assert_equivalent(&ctx("own-proposal"), n, t, |_| OwnProposal::new(), adv, inp);
-                assert_equivalent(
+                property.check(&ctx("own-proposal"), n, t, |_| OwnProposal::new(), adv, inp);
+                property.check(
                     &ctx("one-round-all-to-all"),
                     n,
                     t,
@@ -152,7 +220,7 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
                     adv,
                     inp,
                 );
-                assert_equivalent(
+                property.check(
                     &ctx("paranoid-echo"),
                     n,
                     t,
@@ -160,7 +228,7 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
                     adv,
                     inp,
                 );
-                assert_equivalent(
+                property.check(
                     &ctx("silent-constant"),
                     n,
                     t,
@@ -171,6 +239,16 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
             }
         }
     }
+}
+
+#[test]
+fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
+    over_grid(&StatsMatchFullTrace);
+}
+
+#[test]
+fn full_trace_matches_the_hydrated_compressed_trace() {
+    over_grid(&FullTraceMatchesArena);
 }
 
 /// Scenario errors (not just stats) must be identical across engines.
