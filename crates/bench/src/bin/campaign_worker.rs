@@ -16,7 +16,7 @@
 //!
 //! With no flags: manifest on stdin, report on stdout (the transport
 //! `ba_dist::WorkerCommand` uses). With `--progress`, the worker streams
-//! one JSONL [`ProgressEvent`](ba_dist::ProgressEvent) line per completed
+//! one JSONL [`ProgressEvent`] line per completed
 //! point to stdout as it finishes, interleaved before the wire report —
 //! JSONL lines start with `{` and wire records never do, so downstream
 //! consumers (the coordinator's streaming transport, `campaign_watch`)

@@ -820,8 +820,9 @@ fn falsifier_report_with(
 }
 
 /// The in-process reference for a search-mode population evaluation: each
-/// point's adversary label must be an encoded genome ([`genome_label`]),
-/// interpreted by [`GenomeModel`] against the registry protocol.
+/// point's adversary label must be an encoded genome
+/// ([`genome_label`](ba_search::genome_label)), interpreted by
+/// [`GenomeModel`] against the registry protocol.
 ///
 /// `coordinator(k shards) == search_campaign_report(…)` for the same grid,
 /// protocol, and base seed, exactly as in scenario mode.

@@ -88,7 +88,7 @@ mod tests {
         fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
             self.decision = Some(proposal);
             let mut out = Outbox::new();
-            out.broadcast(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 

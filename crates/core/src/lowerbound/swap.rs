@@ -161,7 +161,7 @@ mod tests {
         fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
             self.proposal = proposal;
             let mut out = Outbox::new();
-            out.broadcast(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 
@@ -171,7 +171,7 @@ mod tests {
                 return Outbox::new();
             }
             let mut out = Outbox::new();
-            out.broadcast(ctx.others(), self.proposal);
+            out.broadcast_to_others(ctx, self.proposal);
             out
         }
 

@@ -6,7 +6,7 @@
 //! mechanisms:
 //!
 //! * **streamed harvest** — workers in `--stream` mode emit one checksummed
-//!   [`PointOutcome`](crate::shard::PointOutcome) line per completed point;
+//!   [`PointOutcome`] line per completed point;
 //!   the coordinator banks them as they arrive, so a worker that dies after
 //!   k points only forfeits the points it had not yet finished. (Workers
 //!   without streaming still work: their final [`ShardReport`] is harvested
@@ -415,8 +415,8 @@ impl<R: ShardTransport> Coordinator<R> {
         sweep
     }
 
-    /// Runs a [`ShardMode::Scenarios`] sweep and reassembles the exact
-    /// `CampaignReport` a single-process
+    /// Runs a [`ShardMode::Scenarios`](crate::shard::ShardMode::Scenarios)
+    /// sweep and reassembles the exact `CampaignReport` a single-process
     /// [`ba_sim::Campaign::run_scenarios`] over the same grid produces.
     ///
     /// # Errors

@@ -375,6 +375,15 @@ impl Encode for SimError {
                 "error kind=forge-by-correct process={} round={}",
                 process.0, round.0
             ),
+            SimError::RoutingCount {
+                sender,
+                round,
+                expected,
+                got,
+            } => format!(
+                "error kind=routing-count sender={} round={} expected={expected} got={got}",
+                sender.0, round.0
+            ),
             SimError::DecisionChanged { process, round } => format!(
                 "error kind=decision-changed process={} round={}",
                 process.0, round.0
@@ -421,6 +430,12 @@ impl Decode for SimError {
             "forge-by-correct" => Ok(SimError::ForgeByCorrect {
                 process: process("process")?,
                 round: round("round")?,
+            }),
+            "routing-count" => Ok(SimError::RoutingCount {
+                sender: process("sender")?,
+                round: round("round")?,
+                expected: rec.parse_field("expected")?,
+                got: rec.parse_field("got")?,
             }),
             "decision-changed" => Ok(SimError::DecisionChanged {
                 process: process("process")?,
@@ -851,7 +866,7 @@ mod tests {
     fn sim_error(rng: &mut SimRng) -> SimError {
         let p = ProcessId(rng.gen_index(0, 9));
         let r = Round(rng.gen_range(1, 9));
-        match rng.gen_index(0, 9) {
+        match rng.gen_index(0, 10) {
             0 => SimError::InvalidResilience {
                 n: rng.gen_index(0, 9),
                 t: rng.gen_index(0, 9),
@@ -885,7 +900,19 @@ mod tests {
                 process: p,
                 round: r,
             },
+            8 => routing_count(rng),
             _ => SimError::BehaviorMismatch { process: p },
+        }
+    }
+
+    /// The one variant with four fields, which the random pick above may
+    /// miss in a short test.
+    fn routing_count(rng: &mut SimRng) -> SimError {
+        SimError::RoutingCount {
+            sender: ProcessId(rng.gen_index(0, 300)),
+            round: Round(rng.gen_range(1, 9)),
+            expected: rng.gen_index(0, 300),
+            got: rng.gen_index(0, 300),
         }
     }
 
@@ -962,6 +989,7 @@ mod tests {
         for _ in 0..100 {
             round_trip(&sim_error(&mut rng));
         }
+        round_trip(&routing_count(&mut rng));
     }
 
     #[test]
@@ -1162,6 +1190,7 @@ mod tests {
         for _ in 0..12 {
             assault(&point(&mut rng), &mut rng);
             assault(&sim_error(&mut rng), &mut rng);
+            assault(&routing_count(&mut rng), &mut rng);
             assault(&stats(&mut rng), &mut rng);
             assault(&outcome(&mut rng), &mut rng);
             let report = CampaignReport {

@@ -155,7 +155,7 @@ impl Protocol for LeaderEcho {
                     .count();
                 let verdict = if zeros == ctx.n { Bit::Zero } else { Bit::One };
                 self.verdict = Some(verdict);
-                out.broadcast(ctx.others(), LeaderEchoMsg::Verdict(verdict));
+                out.broadcast_to_others(ctx, LeaderEchoMsg::Verdict(verdict));
             }
             2 => {
                 self.decision = Some(if ctx.id == self.leader {
@@ -207,7 +207,7 @@ impl Protocol for OneRoundAllToAll {
     fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
         self.proposal = proposal;
         let mut out = Outbox::new();
-        out.broadcast(ctx.others(), proposal);
+        out.broadcast_to_others(ctx, proposal);
         out
     }
 
@@ -268,7 +268,7 @@ impl Protocol for ParanoidEcho {
     fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<ParanoidEchoMsg> {
         self.proposal = proposal;
         let mut out = Outbox::new();
-        out.broadcast(ctx.others(), ParanoidEchoMsg::Report(proposal));
+        out.broadcast_to_others(ctx, ParanoidEchoMsg::Report(proposal));
         out
     }
 
@@ -287,7 +287,7 @@ impl Protocol for ParanoidEcho {
                         .iter()
                         .all(|(_, m)| matches!(m, ParanoidEchoMsg::Report(Bit::Zero)));
                 self.tentative = if all_zero { Bit::Zero } else { Bit::One };
-                out.broadcast(ctx.others(), ParanoidEchoMsg::Tentative(self.tentative));
+                out.broadcast_to_others(ctx, ParanoidEchoMsg::Tentative(self.tentative));
             }
             2 => {
                 let all_zero = self.tentative == Bit::Zero
@@ -361,7 +361,7 @@ impl Protocol for EchoChain {
     fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
         self.clean = proposal == Bit::Zero;
         let mut out = Outbox::new();
-        out.broadcast(ctx.others(), self.flag());
+        out.broadcast_to_others(ctx, self.flag());
         out
     }
 
@@ -373,7 +373,7 @@ impl Protocol for EchoChain {
         let all_clear = inbox.len() == ctx.n - 1 && inbox.iter().all(|(_, b)| *b == Bit::Zero);
         self.clean = self.clean && all_clear;
         if round.0 < self.stages {
-            out.broadcast(ctx.others(), self.flag());
+            out.broadcast_to_others(ctx, self.flag());
         } else {
             self.decision = Some(self.flag());
         }

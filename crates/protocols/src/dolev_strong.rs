@@ -198,7 +198,7 @@ impl<V: Value> Protocol for DolevStrong<V> {
                 value: proposal,
                 chain,
             };
-            out.broadcast(ctx.others(), DsBatch::new(vec![entry]));
+            out.broadcast_to_others(ctx, DsBatch::new(vec![entry]));
         }
         out
     }
@@ -241,7 +241,7 @@ impl<V: Value> Protocol for DolevStrong<V> {
         if !relays.is_empty() {
             relays.sort();
             out = Outbox::with_capacity(ctx.n);
-            out.broadcast(ctx.others(), DsBatch::new(relays));
+            out.broadcast_to_others(ctx, DsBatch::new(relays));
         }
 
         if round.0 == deciding {

@@ -81,7 +81,7 @@ impl<V: Value> EigCore<V> {
             // Level-1 node for ourselves (we do not send to ourselves).
             self.vals.insert(vec![ctx.id], proposal.clone());
             let msg: EigMsg<V> = [(Vec::new(), proposal)].into_iter().collect();
-            out.broadcast(ctx.others(), msg);
+            out.broadcast_to_others(ctx, msg);
         }
         if ctx.t == 0 {
             // t + 1 = 1 round: with no relays, resolution happens after
@@ -152,7 +152,7 @@ impl<V: Value> EigCore<V> {
                 self.vals.entry(path).or_insert(v);
             }
             if !relays.is_empty() {
-                out.broadcast(ctx.others(), relays);
+                out.broadcast_to_others(ctx, relays);
             }
         } else {
             // End of round t + 1: resolve the tree and decide.
@@ -448,7 +448,7 @@ mod tests {
                 ]
                 .into_iter()
                 .collect();
-                out.broadcast(ctx.others(), garbage);
+                out.broadcast_to_others(ctx, garbage);
                 out
             }
             fn round(

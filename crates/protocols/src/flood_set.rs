@@ -67,7 +67,7 @@ impl<V: Value> Protocol for FloodSet<V> {
     fn propose(&mut self, ctx: &ProcessCtx, proposal: V) -> Outbox<Self::Msg> {
         self.known.insert(proposal);
         let mut out = Outbox::new();
-        out.broadcast(ctx.others(), self.known.clone());
+        out.broadcast_to_others(ctx, self.known.clone());
         out
     }
 
@@ -86,7 +86,7 @@ impl<V: Value> Protocol for FloodSet<V> {
             self.known.extend(set.iter().cloned());
         }
         if round.0 < last {
-            out.broadcast(ctx.others(), self.known.clone());
+            out.broadcast_to_others(ctx, self.known.clone());
         } else {
             self.decision = Some(
                 self.known

@@ -146,7 +146,7 @@ mod tests {
             let mut out = Outbox::new();
             if ctx.id == self.source {
                 self.decision = Some(proposal);
-                out.broadcast(ctx.others(), proposal);
+                out.broadcast_to_others(ctx, proposal);
             }
             out
         }

@@ -122,7 +122,7 @@ impl Protocol for PhaseKing {
     fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<PkMsg> {
         self.value = proposal;
         let mut out = Outbox::new();
-        out.broadcast(ctx.others(), PkMsg::Report(self.value));
+        out.broadcast_to_others(ctx, PkMsg::Report(self.value));
         out
     }
 
@@ -148,7 +148,7 @@ impl Protocol for PhaseKing {
                 } else {
                     UNSURE
                 };
-                out.broadcast(ctx.others(), PkMsg::Support(self.candidate));
+                out.broadcast_to_others(ctx, PkMsg::Support(self.candidate));
             }
             // Processing exchange 2: count Supports, derive tentative/locked;
             // the king announces.
@@ -171,7 +171,7 @@ impl Protocol for PhaseKing {
                 };
                 let phase = (round.0 + 1) / 3;
                 if ctx.id == Self::king_of_phase(phase, ctx.n) {
-                    out.broadcast(ctx.others(), PkMsg::King(self.tentative_bit()));
+                    out.broadcast_to_others(ctx, PkMsg::King(self.tentative_bit()));
                 }
             }
             // Processing the king round: adopt, then start the next phase
@@ -190,7 +190,7 @@ impl Protocol for PhaseKing {
                 if phase == self.phases {
                     self.decision = Some(self.value);
                 } else {
-                    out.broadcast(ctx.others(), PkMsg::Report(self.value));
+                    out.broadcast_to_others(ctx, PkMsg::Report(self.value));
                 }
             }
         }

@@ -381,7 +381,7 @@ mod tests {
         fn propose(&mut self, ctx: &ba_sim::ProcessCtx, proposal: Bit) -> ba_sim::Outbox<Bit> {
             self.proposal = proposal;
             let mut out = ba_sim::Outbox::new();
-            out.broadcast(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 

@@ -16,7 +16,7 @@
 //!    [`MessageComplexity`].
 //! 3. [`search`] — a (1+λ) hill-climber or simulated annealing, fully
 //!    replayable from one seed, with batches evaluated in parallel.
-//! 4. [`shrink`] — delta-debugging down to a 1-minimal violating genome,
+//! 4. [`shrink()`] — delta-debugging down to a 1-minimal violating genome,
 //!    reported as a human-readable [`AttackReport`].
 //!
 //! Genomes travel through the `ba-dist` wire format ([`genome_label`] /

@@ -14,7 +14,7 @@ pub trait Objective {
     fn name(&self) -> &'static str;
 
     /// The fitness of this outcome (higher is better). Violating outcomes
-    /// must score at least [`Objective::VIOLATION_SCORE`].
+    /// must score at least `<dyn Objective>::VIOLATION_SCORE`.
     fn score(&self, stats: &ScenarioStats<Bit>) -> f64;
 
     /// `true` iff this outcome exhibits the violation the objective hunts;

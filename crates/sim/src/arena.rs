@@ -410,14 +410,14 @@ mod tests {
         fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
             self.proposal = proposal;
             let mut out = Outbox::new();
-            out.broadcast(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 
         fn round(&mut self, ctx: &ProcessCtx, round: Round, _: &Inbox<Bit>) -> Outbox<Bit> {
             let mut out = Outbox::new();
             if round.0 < 2 {
-                out.broadcast(ctx.others(), self.proposal);
+                out.broadcast_to_others(ctx, self.proposal);
             } else {
                 self.decision = Some(self.proposal);
             }

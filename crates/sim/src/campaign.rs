@@ -516,7 +516,7 @@ mod tests {
         fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
             self.proposal = proposal;
             let mut out = Outbox::new();
-            out.send_to_all(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 

@@ -50,6 +50,20 @@ pub enum SimError {
         /// The round of the offending routing decision.
         round: Round,
     },
+    /// The fault model's broadcast fan-out
+    /// ([`FaultModel::route_broadcast`](crate::FaultModel::route_broadcast))
+    /// decided a different number of routings than the broadcast has
+    /// receivers; it must decide exactly one per receiver.
+    RoutingCount {
+        /// The broadcasting sender.
+        sender: ProcessId,
+        /// The round of the broadcast.
+        round: Round,
+        /// Number of receivers, the routings the model had to decide.
+        expected: usize,
+        /// Number of routings the model decided.
+        got: usize,
+    },
     /// A protocol changed its decision after deciding (decisions are
     /// irrevocable).
     DecisionChanged {
@@ -114,6 +128,18 @@ impl fmt::Display for SimError {
                     "fault model forged a message from correct process {process} in {round}"
                 )
             }
+            SimError::RoutingCount {
+                sender,
+                round,
+                expected,
+                got,
+            } => {
+                write!(
+                    f,
+                    "fault model decided {got} routings for the {expected} receivers of \
+                     {sender}'s broadcast in {round}"
+                )
+            }
             SimError::DecisionChanged { process, round } => {
                 write!(f, "{process} changed its decision at the start of {round}")
             }
@@ -148,6 +174,16 @@ mod tests {
         assert_eq!(e.to_string(), "p3 sent a message to itself in round 2");
         let e = SimError::TooManyFaulty { got: 5, t: 2 };
         assert!(e.to_string().contains("exceed"));
+        let e = SimError::RoutingCount {
+            sender: ProcessId(1),
+            round: Round(3),
+            expected: 3,
+            got: 2,
+        };
+        assert_eq!(
+            e.to_string(),
+            "fault model decided 2 routings for the 3 receivers of p1's broadcast in round 3"
+        );
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! [`FaultModel`] decides — observing the unfolding execution — who is
 //! corrupted and what happens to each message (deliver, omit, forge, and
 //! optionally in what order the round's messages are routed). Routing runs
-//! over dense, run-long mailbox slabs (no per-round map allocation), and
-//! what gets *recorded* is delegated to a [`TraceSink`]: the
+//! over run-long buffers with no per-round map allocation: a broadcast
+//! payload moves once into a table with one slot per sender, and each
+//! receiver's [`Inbox`] records a delivery from it as one bit, while
+//! unicast, forged and rescheduled payloads move into dense per-receiver
+//! slabs. What gets *recorded* is delegated to a [`TraceSink`]: the
 //! [`FullTrace`](crate::FullTrace) sink produces trace-complete
 //! [`Execution`](crate::Execution) values that satisfy the model's
 //! execution guarantees by construction (re-checkable via
@@ -148,13 +151,18 @@ impl<P: Protocol> Slot<'_, P> {
 /// reduce to a slot assignment plus a fault model; what the run *produces*
 /// is the sink's choice.
 ///
-/// Routing buffers are dense and run-long: one reusable [`Inbox`] slab per
-/// process (cleared by the sink each round), outboxes drained by move. A
-/// delivered payload is moved — never cloned — from the sender's outbox into
-/// the receiver's inbox; only a full-trace sink pays clone costs. The
-/// envelope queue for delivery rescheduling is materialized **only** when
-/// the model asks for it ([`FaultModel::reorders`]), so non-scheduling
-/// models keep the dense per-sender fast path.
+/// Routing buffers are run-long: one payload table slot per sender and one
+/// reusable [`Inbox`] per process (emptied by the sink each round). A
+/// broadcast is addressed a word at a time and fanned out by reference: a
+/// delivered edge sets one bit in the receiver's inbox, and the payload
+/// moves — never cloned — into the sender's table slot if any receiver got
+/// it. An inbox with such deliveries reads the table during its process's
+/// step and lets go of it afterwards; the table is emptied once every
+/// process has stepped. Only a full-trace sink pays clone costs. The envelope queue for delivery
+/// rescheduling is materialized **only** when the model asks for it
+/// ([`FaultModel::reorders`]), so non-scheduling models keep the dense
+/// per-sender fast path, and its deliveries move owned payloads into the
+/// inboxes.
 ///
 /// Corruption is dynamic: the model's [`FaultModel::begin_round`]
 /// directives evolve the *currently corrupted* set (who may be blamed right
@@ -237,9 +245,12 @@ where
         observe_decision(&mut decisions[i], slot, ProcessId(i), Round::FIRST)?;
     }
 
-    // Run-long dense routing buffers: one inbox slab per process, reused
-    // across rounds (the sink drains or clears them via `absorb_inbox`).
-    let mut inboxes: Vec<Inbox<P::Msg>> = (0..n).map(|_| Inbox::with_capacity(n)).collect();
+    // Run-long routing buffers: the round's broadcast payloads, one slot per
+    // sender, and one inbox per process, reused across rounds (the sink
+    // drains or clears them via `absorb_inbox`).
+    let mut table: Vec<Option<P::Msg>> = vec![None; n];
+    let mut table_used = false;
+    let mut inboxes: Vec<Inbox<'static, P::Msg>> = (0..n).map(|_| Inbox::new()).collect();
 
     // Routed-traffic counters, the model's observation window.
     let mut sent_count = vec![0u64; n];
@@ -248,6 +259,12 @@ where
     let mut routed = 0u64;
 
     let reorders = model.reorders();
+    if reorders {
+        // Every delivery is owned on this path: size the slabs once.
+        for inbox in &mut inboxes {
+            inbox.reserve(n);
+        }
+    }
     let mut queue: Vec<Envelope> = Vec::new();
     // Reusable per-broadcast routing decisions (one alloc per run).
     let mut routings: Vec<Routing<P::Msg>> = Vec::new();
@@ -297,9 +314,10 @@ where
             //
             // A pure-broadcast outbox (the dominant shape: every implemented
             // protocol is all-to-all) is fanned out **by reference** from its
-            // single payload: the model still observes one `route` call per
-            // (sender, receiver) edge in the identical order, but no clone
-            // happens until final delivery into the receiver's inbox slot.
+            // single payload: the model still decides one routing per
+            // (sender, receiver) edge in the identical order, a delivered
+            // edge is one bit in the receiver's inbox, and the payload moves
+            // into the table once, without a clone.
             for sender in ProcessId::all(n) {
                 let mut outbox = std::mem::take(&mut outboxes[sender.index()]);
                 if outbox.unicast_len() == 0 {
@@ -312,24 +330,50 @@ where
                     routings.clear();
                     routed += mask.len() as u64;
                     model.route_broadcast(view!(round), sender, &mask, &payload, &mut routings);
-                    debug_assert_eq!(
-                        routings.len(),
-                        mask.len(),
-                        "route_broadcast must decide exactly one routing per mask bit"
-                    );
-                    for (receiver, routing) in mask.iter().zip(routings.drain(..)) {
-                        route_shared::<P, S>(
-                            routing,
-                            round,
+                    if routings.len() != mask.len() {
+                        return Err(SimError::RoutingCount {
                             sender,
-                            receiver,
-                            &payload,
-                            &corrupted,
-                            &mut sent_count,
-                            &mut delivered_count,
-                            &mut inboxes,
-                            &mut sink,
-                        )?;
+                            round,
+                            expected: mask.len(),
+                            got: routings.len(),
+                        });
+                    }
+                    // A delivered edge is the sink event, the receiver's
+                    // counter and one bit in its inbox; the sender's count
+                    // is added once per fan-out. The word-by-word walk
+                    // keeps this loop tight.
+                    let mut decisions = routings.drain(..);
+                    let mut delivered = 0u64;
+                    for (base, mut bits) in mask.words() {
+                        while bits != 0 {
+                            let receiver = ProcessId(base + bits.trailing_zeros() as usize);
+                            bits &= bits - 1;
+                            let routing = decisions.next().expect("counted above");
+                            if let Routing::Deliver = routing {
+                                sink.sent(round, sender, receiver, &payload);
+                                delivered_count[receiver.index()] += 1;
+                                inboxes[receiver.index()].deliver_shared(sender);
+                                delivered += 1;
+                            } else {
+                                route_shared::<P, S>(
+                                    routing,
+                                    round,
+                                    sender,
+                                    receiver,
+                                    &payload,
+                                    &corrupted,
+                                    &mut sent_count,
+                                    &mut delivered_count,
+                                    &mut inboxes,
+                                    &mut sink,
+                                )?;
+                            }
+                        }
+                    }
+                    sent_count[sender.index()] += delivered;
+                    if delivered != 0 {
+                        table[sender.index()] = Some(payload);
+                        table_used = true;
                     }
                 } else {
                     // Mixed unicast + broadcast round (rare): the merged
@@ -388,19 +432,42 @@ where
             }
         }
 
-        // Deliver inboxes and compute next-round outboxes.
+        // Deliver inboxes and compute next-round outboxes. An inbox with
+        // broadcast deliveries borrows the table for its process's step
+        // only, so the table can be emptied and refilled next round; the
+        // other inboxes step in place.
         let mut any_pending = false;
         for (i, slot) in slots.iter_mut().enumerate() {
-            let out = slot.round(&ctxs[i], round, &inboxes[i]);
-            validate_outbox(ProcessId(i), &out, n, round.next())?;
-            any_pending |= !out.is_empty();
-            outboxes[i] = out;
-            sink.absorb_inbox(round, ProcessId(i), &mut inboxes[i]);
-            // Conforming sinks leave the inbox empty (then this is O(1));
-            // clearing unconditionally keeps a non-conforming custom sink
-            // from corrupting later rounds with stale redeliveries.
-            inboxes[i].clear();
-            observe_decision(&mut decisions[i], slot, ProcessId(i), round.next())?;
+            let pid = ProcessId(i);
+            // The step, expanded for either inbox lifetime (a closure
+            // would cost a call per process and round).
+            macro_rules! step {
+                ($inbox:expr) => {{
+                    let inbox = $inbox;
+                    let out = slot.round(&ctxs[i], round, inbox);
+                    validate_outbox(pid, &out, n, round.next())?;
+                    any_pending |= !out.is_empty();
+                    outboxes[i] = out;
+                    sink.absorb_inbox(round, pid, inbox);
+                    // Conforming sinks leave the inbox empty (then this
+                    // is O(1)); clearing unconditionally keeps a
+                    // non-conforming custom sink from corrupting later
+                    // rounds with stale redeliveries.
+                    inbox.clear();
+                }};
+            }
+            if inboxes[i].has_shared() {
+                let mut inbox = std::mem::take(&mut inboxes[i]).attach(&table);
+                step!(&mut inbox);
+                inboxes[i] = inbox.detach();
+            } else {
+                step!(&mut inboxes[i]);
+            }
+            observe_decision(&mut decisions[i], slot, pid, round.next())?;
+        }
+        if table_used {
+            table.fill(None);
+            table_used = false;
         }
         if let Some(telemetry) = telemetry.as_mut() {
             telemetry.round_done(sent_count.iter().sum());
@@ -555,11 +622,13 @@ where
     Ok(())
 }
 
-/// [`route_one`] for a broadcast edge: the payload stays shared; a clone
-/// happens only when this edge actually delivers into an inbox slot or when
-/// a sink takes ownership of an omitted/forged payload. Same blame rules,
-/// counters, and sink-event order as the owned path.
-#[inline(always)]
+/// [`route_one`] for a broadcast edge the model did not deliver unchanged
+/// (the fan-out loop handles [`Routing::Deliver`] itself): the payload
+/// stays shared, and a clone happens only when a sink takes ownership of an
+/// omitted payload. Same blame rules, counters, and sink-event order as the
+/// owned path. Kept out of line: omissions and forgeries are the rare
+/// edges, and each copy of the engine should stay small.
+#[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn route_shared<P, S>(
     routing: Routing<P::Msg>,
@@ -725,7 +794,7 @@ mod tests {
                 self.decision = Some(self.proposal);
             }
             let mut out = Outbox::new();
-            out.send_to_all(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 
@@ -735,7 +804,7 @@ mod tests {
             }
             let mut out = Outbox::new();
             if round.0 < self.stop_after {
-                out.send_to_all(ctx.others(), self.proposal);
+                out.broadcast_to_others(ctx, self.proposal);
             }
             out
         }
@@ -927,12 +996,12 @@ mod tests {
             type Msg = Bit;
             fn propose(&mut self, ctx: &ProcessCtx, _: Bit) -> Outbox<Bit> {
                 let mut out = Outbox::new();
-                out.send_to_all(ctx.others(), Bit::Zero);
+                out.broadcast_to_others(ctx, Bit::Zero);
                 out
             }
             fn round(&mut self, ctx: &ProcessCtx, _: Round, _: &Inbox<Bit>) -> Outbox<Bit> {
                 let mut out = Outbox::new();
-                out.send_to_all(ctx.others(), Bit::Zero);
+                out.broadcast_to_others(ctx, Bit::Zero);
                 out
             }
             fn decision(&self) -> Option<Bit> {
@@ -1293,6 +1362,58 @@ mod tests {
                 round: Round(2)
             }
         );
+    }
+
+    #[test]
+    fn broadcast_fan_outs_must_decide_one_routing_per_receiver() {
+        use crate::fault::{ExecutionView, FaultBudget, FaultModel, Routing};
+        use crate::mailbox::ReceiverMask;
+        /// Decides `mask.len() + skew` routings for every broadcast.
+        struct Miscounter {
+            skew: isize,
+        }
+        impl FaultModel<Bit> for Miscounter {
+            fn budget(&self) -> FaultBudget {
+                FaultBudget::Static(BTreeSet::new())
+            }
+            fn route(
+                &mut self,
+                _: ExecutionView<'_>,
+                _: ProcessId,
+                _: ProcessId,
+                _: &Bit,
+            ) -> Routing<Bit> {
+                Routing::Deliver
+            }
+            fn route_broadcast(
+                &mut self,
+                _: ExecutionView<'_>,
+                _: ProcessId,
+                mask: &ReceiverMask,
+                _: &Bit,
+                out: &mut Vec<Routing<Bit>>,
+            ) {
+                let count = mask.len().checked_add_signed(self.skew).unwrap();
+                out.extend((0..count).map(|_| Routing::Deliver));
+            }
+        }
+        for (skew, got) in [(-1, 2), (1, 4)] {
+            let err = Scenario::new(4, 1)
+                .protocol(|_| Chatter::new(2, 1))
+                .uniform_input(Bit::Zero)
+                .adversary(crate::Adversary::model(Miscounter { skew }))
+                .run()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                SimError::RoutingCount {
+                    sender: ProcessId(0),
+                    round: Round(1),
+                    expected: 3,
+                    got,
+                }
+            );
+        }
     }
 
     #[test]

@@ -217,6 +217,8 @@ pub trait FaultModel<M> {
 
     /// Decides the routing of one broadcast fan-out: pushes exactly one
     /// [`Routing`] per mask bit into `out`, in ascending receiver order.
+    /// The executor rejects any other count as
+    /// [`SimError::RoutingCount`](crate::SimError::RoutingCount).
     ///
     /// The executor calls this **once per broadcasting sender** instead of
     /// [`route`](FaultModel::route) per edge, so the default body's `route`

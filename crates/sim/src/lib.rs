@@ -37,8 +37,9 @@
 //! (`swap_omission`, `merge`, the Ω(t²) falsifier) live in `ba-core` and
 //! operate on the [`Execution`] values produced here.
 //!
-//! What a run *records* is pluggable ([`TraceSink`]): [`Scenario::run`]
-//! materializes the full [`Execution`] via the [`FullTrace`] sink, while
+//! What a run *records* is pluggable ([`TraceSink`]):
+//! [`Scenario::run`](ProtocolScenario::run) materializes the full
+//! [`Execution`] via the [`FullTrace`] sink, while
 //! [`run_stats`](ProtocolScenario::run_stats) and [`Campaign`] sweeps
 //! default to the [`StatsSink`] fast path ([`TraceMode::Stats`]) — identical
 //! [`ScenarioStats`] with zero payload clones and no fragment allocation.

@@ -1,27 +1,33 @@
 //! Per-round message containers: the [`Outbox`] a process fills when sending
-//! and the [`Inbox`] it drains when receiving.
+//! and the [`Inbox`] it reads when receiving.
 //!
 //! The computational model (paper §A.1) allows each process to send *at most
 //! one* message to any specific process in a single round and forbids
 //! self-sends. [`Outbox`] enforces the former structurally (it is keyed by
 //! receiver) and the executor rejects the latter.
 //!
-//! Both containers are backed by **dense slabs**: a `Vec<Option<M>>` indexed
-//! by the counterparty's [`ProcessId`]. This keeps the executor's hot path
-//! free of per-message tree allocations while preserving the deterministic
-//! ascending-id iteration order the proof machinery relies on (identical to
-//! the old `BTreeMap` order).
-//!
 //! Broadcast — the dominant traffic shape of every implemented protocol — is
 //! a first-class primitive: [`Outbox::broadcast`] stores *one* payload plus a
-//! dense [`ReceiverMask`] instead of `n - 1` clones, and the executor fans it
-//! out by reference, cloning only at final delivery into an [`Inbox`] slot.
-//! All observable behavior (iteration order, equality, drain semantics) is
-//! identical to the equivalent per-receiver sends.
+//! dense [`ReceiverMask`] instead of `n - 1` clones, and
+//! [`Outbox::broadcast_to_others`] fills the all-but-self mask a whole word
+//! at a time. The executor moves each delivered broadcast payload once into
+//! a round-long table with one slot per sender; an [`Inbox`] reads that table
+//! through a bitmask of the senders it heard, so delivering a broadcast edge
+//! sets one bit and copies nothing. Per-receiver sends, forged and
+//! rescheduled payloads live in dense slabs indexed by the counterparty's
+//! [`ProcessId`], with no per-message tree allocation.
+//!
+//! Every view iterates in ascending-id order (the `BTreeMap` order the proof
+//! machinery relies on), and every observable behavior (iteration order,
+//! equality, length, drain semantics) is identical to the equivalent
+//! per-receiver sends and deliveries.
 
 use std::collections::BTreeMap;
+use std::iter::Chain;
+use std::slice;
 
 use crate::ids::ProcessId;
+use crate::protocol::ProcessCtx;
 use crate::value::Payload;
 
 /// Number of inline 64-bit words in a [`ReceiverMask`] — 256 receivers
@@ -31,7 +37,10 @@ const MASK_INLINE_WORDS: usize = 4;
 /// A dense set of receiver ids backed by a fixed inline bitset (256 bits)
 /// with a heap spill for larger systems. Ascending-id iteration matches the
 /// slab/`BTreeMap` order the proof machinery relies on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Equality compares the sets: spill words that are missing or zero are the
+/// same empty words.
+#[derive(Clone, Debug, Default)]
 pub struct ReceiverMask {
     lo: [u64; MASK_INLINE_WORDS],
     hi: Vec<u64>,
@@ -44,6 +53,28 @@ impl ReceiverMask {
         ReceiverMask::default()
     }
 
+    /// Every id in `0..n` except `me` — the legal receivers of `me`'s
+    /// messages, the same set as [`ProcessCtx::others`] — filled a whole
+    /// word at a time.
+    #[inline]
+    pub fn all_but(n: usize, me: ProcessId) -> Self {
+        let spill = n.div_ceil(64).saturating_sub(MASK_INLINE_WORDS);
+        let mut mask = ReceiverMask {
+            lo: [0; MASK_INLINE_WORDS],
+            hi: vec![0; spill],
+            count: n,
+        };
+        for w in 0..n / 64 {
+            *mask.word_mut(w) = u64::MAX;
+        }
+        if n % 64 != 0 {
+            *mask.word_mut(n / 64) = (1 << (n % 64)) - 1;
+        }
+        mask.remove(me);
+        mask
+    }
+
+    #[inline]
     fn word(&self, w: usize) -> u64 {
         if w < MASK_INLINE_WORDS {
             self.lo[w]
@@ -52,23 +83,29 @@ impl ReceiverMask {
         }
     }
 
+    #[inline]
     fn word_mut(&mut self, w: usize) -> &mut u64 {
         if w < MASK_INLINE_WORDS {
             &mut self.lo[w]
         } else {
-            let i = w - MASK_INLINE_WORDS;
-            if i >= self.hi.len() {
-                self.hi.resize(i + 1, 0);
-            }
-            &mut self.hi[i]
+            self.spill_mut(w - MASK_INLINE_WORDS)
         }
     }
 
-    fn words(&self) -> usize {
+    /// The `i`-th spill word, growing the spill to hold it.
+    fn spill_mut(&mut self, i: usize) -> &mut u64 {
+        if i >= self.hi.len() {
+            self.hi.resize(i + 1, 0);
+        }
+        &mut self.hi[i]
+    }
+
+    fn word_count(&self) -> usize {
         MASK_INLINE_WORDS + self.hi.len()
     }
 
     /// Inserts `id`, returning `true` iff it was not already present.
+    #[inline]
     pub fn insert(&mut self, id: ProcessId) -> bool {
         let (w, b) = (id.index() / 64, id.index() % 64);
         let word = self.word_mut(w);
@@ -79,9 +116,10 @@ impl ReceiverMask {
     }
 
     /// Removes `id`, returning `true` iff it was present.
+    #[inline]
     pub fn remove(&mut self, id: ProcessId) -> bool {
         let (w, b) = (id.index() / 64, id.index() % 64);
-        if w >= self.words() {
+        if w >= self.word_count() {
             return false;
         }
         let word = self.word_mut(w);
@@ -91,7 +129,20 @@ impl ReceiverMask {
         present
     }
 
+    /// Removes every id, keeping the spill words for reuse.
+    pub(crate) fn clear(&mut self) {
+        if self.count != 0 {
+            self.lo = [0; MASK_INLINE_WORDS];
+            // Guarded: an empty fill still costs a `memset` call.
+            if !self.hi.is_empty() {
+                self.hi.fill(0);
+            }
+            self.count = 0;
+        }
+    }
+
     /// `true` iff `id` is in the mask.
+    #[inline]
     pub fn contains(&self, id: ProcessId) -> bool {
         let (w, b) = (id.index() / 64, id.index() % 64);
         self.word(w) & (1 << b) != 0
@@ -110,7 +161,7 @@ impl ReceiverMask {
     /// The highest id in the mask, if any — the executor's O(1) receiver
     /// range check.
     pub fn max_id(&self) -> Option<ProcessId> {
-        for w in (0..self.words()).rev() {
+        for w in (0..self.word_count()).rev() {
             let word = self.word(w);
             if word != 0 {
                 return Some(ProcessId(w * 64 + 63 - word.leading_zeros() as usize));
@@ -135,15 +186,42 @@ impl ReceiverMask {
         Some(rank)
     }
 
+    /// The words in ascending order, inline then spilled.
+    #[inline]
+    fn words_iter(&self) -> MaskWords<'_> {
+        self.lo.iter().chain(&self.hi)
+    }
+
+    /// `(first id, word)` for each word in ascending order: a caller's
+    /// nested loop over the set bits is tighter than [`iter`](Self::iter).
+    pub(crate) fn words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.words_iter()
+            .enumerate()
+            .map(|(w, &bits)| (w * 64, bits))
+    }
+
     /// Iterates the ids in ascending order.
+    #[inline]
     pub fn iter(&self) -> ReceiverMaskIter<'_> {
         ReceiverMaskIter {
-            mask: self,
-            word: 0,
-            bits: self.word(0),
+            words: self.words_iter(),
+            base: 0usize.wrapping_sub(64),
+            bits: 0,
         }
     }
 }
+
+/// A [`ReceiverMask`]'s words in ascending order.
+type MaskWords<'a> = Chain<slice::Iter<'a, u64>, slice::Iter<'a, u64>>;
+
+impl PartialEq for ReceiverMask {
+    fn eq(&self, other: &Self) -> bool {
+        self.count == other.count
+            && (0..self.word_count().max(other.word_count())).all(|w| self.word(w) == other.word(w))
+    }
+}
+
+impl Eq for ReceiverMask {}
 
 impl FromIterator<ProcessId> for ReceiverMask {
     fn from_iter<I: IntoIterator<Item = ProcessId>>(iter: I) -> Self {
@@ -157,39 +235,51 @@ impl FromIterator<ProcessId> for ReceiverMask {
 
 /// Ascending iterator over the ids of a [`ReceiverMask`].
 pub struct ReceiverMaskIter<'a> {
-    mask: &'a ReceiverMask,
-    word: usize,
+    words: MaskWords<'a>,
+    /// The first id of the current word.
+    base: usize,
+    /// The current word's ids not yet yielded.
     bits: u64,
+}
+
+impl ReceiverMaskIter<'_> {
+    /// Moves to the next non-empty word; `false` once there is none.
+    fn advance(&mut self) -> bool {
+        while self.bits == 0 {
+            let Some(&word) = self.words.next() else {
+                return false;
+            };
+            self.bits = word;
+            self.base = self.base.wrapping_add(64);
+        }
+        true
+    }
 }
 
 impl Iterator for ReceiverMaskIter<'_> {
     type Item = ProcessId;
 
+    #[inline]
     fn next(&mut self) -> Option<ProcessId> {
-        loop {
-            if self.bits != 0 {
-                let b = self.bits.trailing_zeros() as usize;
-                self.bits &= self.bits - 1;
-                return Some(ProcessId(self.word * 64 + b));
-            }
-            self.word += 1;
-            if self.word >= self.mask.words() {
-                return None;
-            }
-            self.bits = self.mask.word(self.word);
+        if self.bits == 0 && !self.advance() {
+            return None;
         }
+        let id = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(ProcessId(id))
     }
 }
 
 /// A dense slab of at-most-one message per counterparty, indexed by
-/// [`ProcessId`]. Shared backing store of [`Outbox`] and [`Inbox`].
+/// [`ProcessId`]. Backs the per-receiver part of [`Outbox`] and the owned
+/// part of [`Inbox`].
 #[derive(Clone, Debug)]
 struct Slab<M> {
     slots: Vec<Option<M>>,
     len: usize,
 }
 
-impl<M: Payload> Slab<M> {
+impl<M> Slab<M> {
     fn new() -> Self {
         Slab {
             slots: Vec::new(),
@@ -228,28 +318,22 @@ impl<M: Payload> Slab<M> {
         taken
     }
 
-    /// Iterates occupied slots in ascending-id order. An empty slab skips
-    /// the slot scan entirely (quiescent tail rounds hit this constantly).
+    /// The occupied slots, or none at all when the slab is empty (quiescent
+    /// tail rounds hit this constantly).
+    fn occupied(&self) -> &[Option<M>] {
+        if self.len == 0 {
+            &[]
+        } else {
+            &self.slots
+        }
+    }
+
+    /// Iterates occupied slots in ascending-id order.
     fn iter(&self) -> impl Iterator<Item = (ProcessId, &M)> {
-        let slots: &[Option<M>] = if self.len == 0 { &[] } else { &self.slots };
-        slots
+        self.occupied()
             .iter()
             .enumerate()
             .filter_map(|(i, m)| m.as_ref().map(|m| (ProcessId(i), m)))
-    }
-
-    /// Removes and yields every message in ascending-id order, leaving the
-    /// slab empty (capacity intact) when run to completion. `len` is
-    /// decremented per yielded item, so dropping the iterator early leaves
-    /// the slab consistent (remaining messages still counted and iterable).
-    fn drain(&mut self) -> impl Iterator<Item = (ProcessId, M)> + '_ {
-        let Slab { slots, len } = self;
-        slots.iter_mut().enumerate().filter_map(move |(i, m)| {
-            m.take().map(|m| {
-                *len -= 1;
-                (ProcessId(i), m)
-            })
-        })
     }
 
     fn clear(&mut self) {
@@ -261,21 +345,20 @@ impl<M: Payload> Slab<M> {
         }
         self.len = 0;
     }
-
-    fn to_map(&self) -> BTreeMap<ProcessId, M> {
-        self.iter().map(|(p, m)| (p, m.clone())).collect()
-    }
-
-    fn into_map(mut self) -> BTreeMap<ProcessId, M> {
-        self.drain().collect()
-    }
-
-    fn semantic_eq(&self, other: &Self) -> bool {
-        self.len == other.len && self.iter().eq(other.iter())
-    }
 }
 
-impl<M: Payload> FromIterator<(ProcessId, M)> for Slab<M> {
+/// The occupied slots among the 64 ids from `base`, as a word of bits.
+fn occupied_bits<M>(slots: &[Option<M>], base: usize) -> u64 {
+    slots
+        .get(base..)
+        .unwrap_or(&[])
+        .iter()
+        .take(64)
+        .enumerate()
+        .fold(0, |bits, (i, slot)| bits | (slot.is_some() as u64) << i)
+}
+
+impl<M> FromIterator<(ProcessId, M)> for Slab<M> {
     fn from_iter<I: IntoIterator<Item = (ProcessId, M)>>(iter: I) -> Self {
         let mut slab = Slab::new();
         for (id, msg) in iter {
@@ -294,12 +377,12 @@ struct Broadcast<M> {
 
 /// The set of messages a process emits for one round, keyed by receiver.
 ///
-/// A broadcast ([`Outbox::broadcast`]) is stored as *one* payload plus a
-/// receiver bitmask; per-receiver sends live in a dense slab. The two parts
-/// are kept disjoint and every observable view (iteration, drain, equality,
-/// length) presents their merged contents in ascending receiver order, so a
-/// broadcast outbox is indistinguishable from the equivalent per-receiver
-/// one.
+/// A broadcast ([`Outbox::broadcast`], [`Outbox::broadcast_to_others`]) is
+/// stored as *one* payload plus a receiver bitmask; per-receiver sends live
+/// in a dense slab. The two parts are kept disjoint and every observable
+/// view (iteration, drain, equality, length) presents their merged contents
+/// in ascending receiver order, so a broadcast outbox is indistinguishable
+/// from the equivalent per-receiver one.
 ///
 /// ```
 /// use ba_sim::{Outbox, ProcessId};
@@ -356,8 +439,8 @@ impl<M: Payload> Outbox<M> {
 
     /// Queues **one** copy of `msg` for every process in `peers`, stored as a
     /// single payload plus a receiver bitmask — the zero-clone broadcast
-    /// primitive. The executor fans it out by reference; payload clones
-    /// happen only at final inbox delivery.
+    /// primitive. The executor fans it out by reference and delivers it
+    /// without copying it per receiver.
     ///
     /// A second broadcast in the same round falls back to per-receiver
     /// clones, preserving the one-message-per-receiver rule.
@@ -401,13 +484,23 @@ impl<M: Payload> Outbox<M> {
         self
     }
 
-    /// Queues `msg` for every process in `peers`. Alias of
-    /// [`broadcast`](Outbox::broadcast) kept for source compatibility.
-    pub fn send_to_all<I>(&mut self, peers: I, msg: M) -> &mut Self
-    where
-        I: IntoIterator<Item = ProcessId>,
-    {
-        self.broadcast(peers, msg)
+    /// Queues `msg` for every process except the sender — exactly
+    /// `broadcast(ctx.others(), msg)`, but the receiver mask is filled a
+    /// word at a time ([`ReceiverMask::all_but`]) instead of bit by bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with [`broadcast`](Outbox::broadcast)'s message, if any peer
+    /// already has a queued message.
+    pub fn broadcast_to_others(&mut self, ctx: &ProcessCtx, msg: M) -> &mut Self {
+        if self.bcast.is_some() || self.msgs.len != 0 {
+            return self.broadcast(ctx.others(), msg);
+        }
+        let mask = ReceiverMask::all_but(ctx.n, ctx.id);
+        if !mask.is_empty() {
+            self.bcast = Some(Broadcast { msg, mask });
+        }
+        self
     }
 
     /// The number of queued messages.
@@ -447,8 +540,8 @@ impl<M: Payload> Outbox<M> {
 
     /// Removes and yields every queued message in receiver order, leaving
     /// the outbox empty (capacity intact). Broadcast payloads are cloned per
-    /// receiver (the last one is moved) — the executor's routing loop avoids
-    /// this entirely via [`take_broadcast`](Outbox::take_broadcast).
+    /// receiver (the last one is moved); the executor's routing loop
+    /// detaches the broadcast and fans it out by reference instead.
     pub fn drain(&mut self) -> OutboxDrain<'_, M> {
         let upper = self.upper();
         OutboxDrain {
@@ -626,105 +719,292 @@ impl<M: Payload> IntoIterator for Outbox<M> {
 /// Receive-omitted messages never appear here: an inbox holds exactly the
 /// messages the process's state machine observes, which is what the paper's
 /// indistinguishability relation compares.
+///
+/// An inbox has two disjoint parts. Broadcast payloads stay in the round's
+/// table, which holds one payload per sender and lives for `'r`; the inbox
+/// keeps only a bitmask of the senders whose table payload it got. Unicast,
+/// forged and rescheduled payloads are owned, in a dense slab. Every view
+/// (iteration, lookup, length, equality, drain) presents the union in
+/// ascending sender order, so how a message arrived is unobservable.
 #[derive(Clone, Debug)]
-pub struct Inbox<M> {
-    msgs: Slab<M>,
+pub struct Inbox<'r, M> {
+    table: &'r [Option<M>],
+    shared: ReceiverMask,
+    owned: Slab<M>,
 }
 
-impl<M: Payload> Inbox<M> {
+impl<'r, M: Payload> Inbox<'r, M> {
     /// Creates an empty inbox.
     pub fn new() -> Self {
-        Inbox { msgs: Slab::new() }
-    }
-
-    /// Creates an empty inbox pre-sized for an `n`-process system. The
-    /// executor allocates one per process per *run* and reuses it across
-    /// rounds.
-    pub fn with_capacity(n: usize) -> Self {
         Inbox {
-            msgs: Slab::with_capacity(n),
+            table: &[],
+            shared: ReceiverMask::new(),
+            owned: Slab::new(),
         }
     }
 
     /// Builds an inbox from a sender → payload map.
     pub fn from_map(msgs: BTreeMap<ProcessId, M>) -> Self {
         Inbox {
-            msgs: msgs.into_iter().collect(),
+            owned: msgs.into_iter().collect(),
+            ..Inbox::new()
         }
     }
 
     /// Delivers `msg` from `sender` into this inbox, replacing any earlier
     /// delivery from the same sender (the executor routes at most one).
     pub fn deliver(&mut self, sender: ProcessId, msg: M) {
-        self.msgs.insert(sender, msg);
+        self.shared.remove(sender);
+        self.owned.insert(sender, msg);
+    }
+
+    /// Delivers `sender`'s payload in the round's table: one bit, no copy.
+    /// The executor routes at most one message per sender and receiver, so
+    /// `sender` has no owned delivery to displace.
+    #[inline]
+    pub(crate) fn deliver_shared(&mut self, sender: ProcessId) {
+        debug_assert!(self.owned.get(sender).is_none(), "one message per sender");
+        self.shared.insert(sender);
+    }
+
+    /// Sizes the owned slab for senders `0..n`, so owned deliveries do not
+    /// regrow it.
+    pub(crate) fn reserve(&mut self, n: usize) {
+        if self.owned.slots.len() < n {
+            self.owned.slots.resize_with(n, || None);
+        }
+    }
+
+    /// `true` iff some delivery is in the round's table, so reading this
+    /// inbox needs the table attached.
+    pub(crate) fn has_shared(&self) -> bool {
+        !self.shared.is_empty()
+    }
+
+    /// Points the shared part at the round's table, whose slot of every
+    /// sender in the bitmask holds that sender's payload.
+    pub(crate) fn attach(mut self, table: &'r [Option<M>]) -> Self {
+        self.table = table;
+        self
+    }
+
+    /// Releases the round's table, so the emptied buffers can be kept
+    /// across rounds while the table is refilled.
+    pub(crate) fn detach(self) -> Inbox<'static, M> {
+        debug_assert!(self.shared.is_empty(), "detach an emptied inbox");
+        Inbox {
+            table: &[],
+            shared: self.shared,
+            owned: self.owned,
+        }
     }
 
     /// The message received from `sender` in this round, if any.
     pub fn from_sender(&self, sender: ProcessId) -> Option<&M> {
-        self.msgs.get(sender)
+        if self.shared.contains(sender) {
+            Some(filled(self.table, sender))
+        } else {
+            self.owned.get(sender)
+        }
     }
 
     /// The number of received messages.
     pub fn len(&self) -> usize {
-        self.msgs.len
+        self.shared.len() + self.owned.len
     }
 
     /// `true` iff nothing was received.
     pub fn is_empty(&self) -> bool {
-        self.msgs.len == 0
+        self.len() == 0
     }
 
-    /// Iterates over `(sender, payload)` pairs in sender order.
+    /// Iterates over `(sender, payload)` pairs in sender order, without
+    /// allocating.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &M)> {
-        self.msgs.iter()
+        // The first word is loaded here, so an inbox of at most 64
+        // senders never advances.
+        let owned = self.owned.occupied();
+        let mut shared_words = self.shared.words_iter();
+        let owned_bits = occupied_bits(owned, 0);
+        InboxIter {
+            table: self.table,
+            owned,
+            bits: shared_words.next().copied().unwrap_or(0) | owned_bits,
+            shared_words,
+            remaining: self.len(),
+            base: 0,
+            owned_bits,
+        }
     }
 
     /// Iterates over the senders heard from this round.
     pub fn senders(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.msgs.iter().map(|(p, _)| p)
+        self.iter().map(|(p, _)| p)
     }
 
     /// Clones the contents into a sender → payload map.
     pub fn to_map(&self) -> BTreeMap<ProcessId, M> {
-        self.msgs.to_map()
+        self.iter().map(|(p, m)| (p, m.clone())).collect()
     }
 
     /// Removes and yields every received message in sender order, leaving
-    /// the inbox empty (capacity intact). [`TraceSink`](crate::TraceSink)
-    /// implementations use this to take ownership of a round's payloads
-    /// without cloning.
+    /// the inbox empty (capacity intact) when run to completion. Owned
+    /// payloads are moved out; payloads in the round's table are cloned, so
+    /// a [`TraceSink`](crate::TraceSink) that keeps them pays one clone per
+    /// received message. Each yielded message is removed as it is yielded,
+    /// so dropping the iterator early leaves the rest counted and iterable.
     pub fn drain(&mut self) -> impl Iterator<Item = (ProcessId, M)> + '_ {
-        self.msgs.drain()
+        InboxDrain {
+            table: self.table,
+            remaining: self.len(),
+            shared: &mut self.shared,
+            owned: &mut self.owned,
+            base: 0usize.wrapping_sub(64),
+            bits: 0,
+            owned_bits: 0,
+        }
     }
 
-    /// Empties the inbox, dropping all payloads (capacity intact).
+    /// Empties the inbox, dropping all owned payloads (capacity intact).
     pub fn clear(&mut self) {
-        self.msgs.clear();
+        self.shared.clear();
+        self.owned.clear();
     }
 
     /// Consumes the inbox, yielding its sender → payload map.
-    pub fn into_inner(self) -> BTreeMap<ProcessId, M> {
-        self.msgs.into_map()
+    pub fn into_inner(mut self) -> BTreeMap<ProcessId, M> {
+        self.drain().collect()
     }
 }
 
-impl<M: Payload> Default for Inbox<M> {
+impl<M: Payload> Default for Inbox<'_, M> {
     fn default() -> Self {
         Inbox::new()
     }
 }
 
-impl<M: Payload> PartialEq for Inbox<M> {
+impl<M: Payload> PartialEq for Inbox<'_, M> {
     fn eq(&self, other: &Self) -> bool {
-        self.msgs.semantic_eq(&other.msgs)
+        self.len() == other.len() && self.iter().eq(other.iter())
     }
 }
 
-impl<M: Payload> Eq for Inbox<M> {}
+impl<M: Payload> Eq for Inbox<'_, M> {}
+
+/// [`Inbox::iter`]: one ascending walk over the shared bitmask and the
+/// owned slots in lockstep, a word of 64 ids at a time, reading each
+/// payload from the part its id belongs to. Nothing is compared or peeked
+/// across the parts, and with nothing owned (every pure-broadcast round)
+/// only the shared bitmask is walked, straight into the table.
+struct InboxIter<'a, M> {
+    table: &'a [Option<M>],
+    /// The owned slots; empty when nothing is owned.
+    owned: &'a [Option<M>],
+    shared_words: MaskWords<'a>,
+    /// Ids not yet yielded, so the walk stops at the last one.
+    remaining: usize,
+    /// The first id of the current word.
+    base: usize,
+    /// The current word's ids not yet yielded, both parts.
+    bits: u64,
+    /// The owned part's ids of the current word.
+    owned_bits: u64,
+}
+
+/// The payload in `sender`'s slot, which an inbox bit marks as filled.
+#[inline]
+fn filled<M>(slots: &[Option<M>], sender: ProcessId) -> &M {
+    slots[sender.index()]
+        .as_ref()
+        .expect("an inbox bit marks a filled slot")
+}
+
+impl<M> InboxIter<'_, M> {
+    /// Moves to the next word with an id in either part; `false` once
+    /// there is none.
+    #[inline(never)]
+    fn advance(&mut self) -> bool {
+        while self.bits == 0 {
+            self.base = self.base.wrapping_add(64);
+            let shared = self.shared_words.next();
+            if shared.is_none() && self.base >= self.owned.len() {
+                return false;
+            }
+            self.owned_bits = occupied_bits(self.owned, self.base);
+            self.bits = shared.copied().unwrap_or(0) | self.owned_bits;
+        }
+        true
+    }
+}
+
+impl<'a, M> Iterator for InboxIter<'a, M> {
+    type Item = (ProcessId, &'a M);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 || (self.bits == 0 && !self.advance()) {
+            return None;
+        }
+        self.remaining -= 1;
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        let sender = ProcessId(self.base + b);
+        if self.owned_bits >> b & 1 != 0 {
+            return Some((sender, filled(self.owned, sender)));
+        }
+        Some((sender, filled(self.table, sender)))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+/// [`Inbox::drain`]: the same walk as [`InboxIter`], removing each id from
+/// the inbox as it is yielded.
+struct InboxDrain<'a, M> {
+    table: &'a [Option<M>],
+    shared: &'a mut ReceiverMask,
+    owned: &'a mut Slab<M>,
+    /// As in [`InboxIter`].
+    remaining: usize,
+    base: usize,
+    bits: u64,
+    owned_bits: u64,
+}
+
+impl<M: Clone> Iterator for InboxDrain<'_, M> {
+    type Item = (ProcessId, M);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        while self.bits == 0 {
+            self.base = self.base.wrapping_add(64);
+            if self.base / 64 >= self.shared.word_count() && self.base >= self.owned.slots.len() {
+                return None;
+            }
+            self.owned_bits = occupied_bits(&self.owned.slots, self.base);
+            self.bits = self.shared.word(self.base / 64) | self.owned_bits;
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        let sender = ProcessId(self.base + b);
+        if self.owned_bits >> b & 1 != 0 {
+            let payload = self.owned.remove(sender).expect("an occupied slot");
+            return Some((sender, payload));
+        }
+        self.shared.remove(sender);
+        Some((sender, filled(self.table, sender).clone()))
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn outbox_records_messages_by_receiver() {
@@ -740,13 +1020,6 @@ mod tests {
         let mut out = Outbox::new();
         out.send(ProcessId(1), 1u32);
         out.send(ProcessId(1), 2u32);
-    }
-
-    #[test]
-    fn send_to_all_clones_payload() {
-        let mut out = Outbox::new();
-        out.send_to_all(ProcessId::all(3), "x");
-        assert_eq!(out.len(), 3);
     }
 
     #[test]
@@ -928,7 +1201,9 @@ mod tests {
         tight.send(ProcessId(1), 5);
         assert_eq!(grown, tight);
 
-        let mut big = Inbox::with_capacity(32);
+        let mut big = Inbox::new();
+        big.deliver(ProcessId(300), 1u8);
+        assert_eq!(big.drain().count(), 1);
         big.deliver(ProcessId(2), 9u8);
         let mut small = Inbox::new();
         small.deliver(ProcessId(2), 9u8);
@@ -956,7 +1231,7 @@ mod tests {
 
     #[test]
     fn inbox_drain_and_reuse_round_trip() {
-        let mut inbox = Inbox::with_capacity(4);
+        let mut inbox = Inbox::new();
         inbox.deliver(ProcessId(2), "b");
         inbox.deliver(ProcessId(0), "a");
         assert_eq!(inbox.len(), 2);
@@ -972,7 +1247,7 @@ mod tests {
     fn partially_consumed_drain_leaves_the_slab_consistent() {
         // A custom TraceSink may drop a drain iterator early; the remaining
         // messages must stay counted, iterable, and clearable.
-        let mut inbox: Inbox<u8> = Inbox::with_capacity(4);
+        let mut inbox: Inbox<u8> = Inbox::new();
         inbox.deliver(ProcessId(0), 10);
         inbox.deliver(ProcessId(2), 12);
         inbox.deliver(ProcessId(3), 13);
@@ -992,5 +1267,207 @@ mod tests {
         let out: Outbox<u8> = [(ProcessId(4), 4), (ProcessId(1), 1)].into_iter().collect();
         let moved: Vec<_> = out.into_iter().collect();
         assert_eq!(moved, vec![(ProcessId(1), 1), (ProcessId(4), 4)]);
+    }
+
+    #[test]
+    fn receiver_mask_equality_compares_sets_not_storage() {
+        let mut shrunk: ReceiverMask = [ProcessId(1), ProcessId(300)].into_iter().collect();
+        assert!(shrunk.remove(ProcessId(300)));
+        let fresh: ReceiverMask = [ProcessId(1)].into_iter().collect();
+        assert_eq!(shrunk, fresh);
+        assert_eq!(fresh, shrunk);
+        assert_ne!(shrunk, ReceiverMask::new());
+
+        let mut cleared = ReceiverMask::all_but(700, ProcessId(3));
+        cleared.clear();
+        assert!(cleared.is_empty());
+        assert_eq!(cleared, ReceiverMask::new());
+        assert_eq!(ReceiverMask::new(), cleared);
+        assert_eq!(cleared.iter().next(), None);
+        // A cleared mask is reusable in place.
+        cleared.insert(ProcessId(650));
+        assert_eq!(cleared, [ProcessId(650)].into_iter().collect());
+    }
+
+    #[test]
+    fn all_but_matches_the_others_of_every_process() {
+        for n in [1, 2, 63, 64, 65, 255, 256, 257, 700] {
+            for me in ProcessId::all(n) {
+                let ctx = ProcessCtx::new(me, n, 0);
+                let words = ReceiverMask::all_but(n, me);
+                let bits: ReceiverMask = ctx.others().collect();
+                assert_eq!(words, bits, "n = {n}, me = {me}");
+                assert_eq!(words.len(), n - 1);
+                assert_eq!(words.max_id(), bits.max_id());
+                assert!(words.iter().eq(ctx.others()));
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_to_others_equals_broadcast_of_others() {
+        for n in [1, 2, 63, 64, 65, 255, 256, 257, 700] {
+            for me in ProcessId::all(n) {
+                let ctx = ProcessCtx::new(me, n, 0);
+                let mut words: Outbox<u16> = Outbox::new();
+                words.broadcast_to_others(&ctx, 7);
+                let mut bits: Outbox<u16> = Outbox::new();
+                bits.broadcast(ctx.others(), 7);
+                assert_eq!(words, bits, "n = {n}, me = {me}");
+                assert_eq!(words.broadcast_part(), bits.broadcast_part());
+                assert_eq!(words.len(), n - 1);
+
+                // Fallback 1: a queued unicast (here to a non-peer id, which
+                // the executor rejects later but the outbox accepts).
+                let stray = ProcessId(n);
+                let mut words: Outbox<u16> = Outbox::new();
+                words.send(stray, 1).broadcast_to_others(&ctx, 7);
+                let mut bits: Outbox<u16> = Outbox::new();
+                bits.send(stray, 1).broadcast(ctx.others(), 7);
+                assert_eq!(words, bits);
+                assert_eq!(words.broadcast_part(), bits.broadcast_part());
+
+                // Fallback 2: a broadcast already queued.
+                let mut words: Outbox<u16> = Outbox::new();
+                words.broadcast([stray], 1).broadcast_to_others(&ctx, 7);
+                let mut bits: Outbox<u16> = Outbox::new();
+                bits.broadcast([stray], 1).broadcast(ctx.others(), 7);
+                assert_eq!(words, bits);
+                assert_eq!(words.broadcast_part(), bits.broadcast_part());
+                assert_eq!(words.len(), n);
+            }
+        }
+    }
+
+    #[test]
+    fn broadcast_to_others_rejects_duplicates_like_broadcast() {
+        fn panic_message(f: impl FnOnce()) -> String {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("a duplicate receiver must panic");
+            err.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+                .expect("panic message is a string")
+        }
+        let ctx = ProcessCtx::new(ProcessId(0), 70, 0);
+        for queue in [
+            (|out: &mut Outbox<u8>| {
+                out.send(ProcessId(66), 1);
+            }) as fn(&mut Outbox<u8>),
+            |out| {
+                out.broadcast([ProcessId(66)], 1);
+            },
+        ] {
+            let words = panic_message(|| {
+                let mut out = Outbox::new();
+                queue(&mut out);
+                out.broadcast_to_others(&ctx, 2);
+            });
+            let bits = panic_message(|| {
+                let mut out = Outbox::new();
+                queue(&mut out);
+                out.broadcast(ctx.others(), 2);
+            });
+            assert_eq!(words, "duplicate message to p66 in one round");
+            assert_eq!(words, bits);
+        }
+    }
+
+    /// An inbox whose contents arrived over the shared path, the owned
+    /// path, or both, plus the round table it reads and the expected map.
+    fn random_inbox(
+        rng: &mut SimRng,
+        n: usize,
+    ) -> (
+        Vec<Option<u16>>,
+        Inbox<'static, u16>,
+        BTreeMap<ProcessId, u16>,
+    ) {
+        let path = rng.gen_index(0, 3); // 0: shared only, 1: owned only, 2: mixed
+                                        // Every sender broadcasts; this receiver hears a random subset.
+        let table: Vec<Option<u16>> = (0..n).map(|_| Some(rng.gen_index(0, 5) as u16)).collect();
+        let mut senders: Vec<ProcessId> = ProcessId::all(n).filter(|_| rng.gen_bool(0.6)).collect();
+        rng.shuffle(&mut senders);
+        let mut inbox = Inbox::new();
+        let mut expected = BTreeMap::new();
+        for sender in senders {
+            let shared = match path {
+                0 => true,
+                1 => false,
+                _ => rng.gen_bool(0.5),
+            };
+            let payload = if shared {
+                inbox.deliver_shared(sender);
+                table[sender.index()].expect("every sender broadcast")
+            } else {
+                let forged = 100 + rng.gen_index(0, 5) as u16;
+                inbox.deliver(sender, forged);
+                forged
+            };
+            expected.insert(sender, payload);
+        }
+        (table, inbox, expected)
+    }
+
+    #[test]
+    fn shared_and_owned_deliveries_are_indistinguishable_from_a_map() {
+        let mut rng = SimRng::seed_from_u64(0x1B0C);
+        for _ in 0..300 {
+            let n = [1, 3, 64, 65, 200, 256, 300][rng.gen_index(0, 7)];
+            let (table, inbox, expected) = random_inbox(&mut rng, n);
+            let mut inbox = inbox.attach(&table);
+            let reference = Inbox::from_map(expected.clone());
+
+            let pairs: Vec<_> = inbox.iter().map(|(p, m)| (p, *m)).collect();
+            let want: Vec<_> = expected.iter().map(|(p, m)| (*p, *m)).collect();
+            assert_eq!(pairs, want);
+            assert!(inbox.iter().eq(reference.iter()));
+            assert!(inbox.senders().eq(expected.keys().copied()));
+            for p in ProcessId::all(n + 2) {
+                assert_eq!(inbox.from_sender(p), reference.from_sender(p));
+                assert_eq!(inbox.from_sender(p), expected.get(&p));
+            }
+            assert_eq!(inbox.len(), expected.len());
+            assert_eq!(inbox.is_empty(), expected.is_empty());
+            assert_eq!(inbox, reference);
+            assert_eq!(reference, inbox);
+            assert_eq!(inbox.to_map(), expected);
+
+            // A partial drain removes exactly the yielded prefix.
+            let k = rng.gen_index(0, expected.len() + 1);
+            let mut copy = inbox.clone();
+            let prefix: Vec<_> = copy.drain().take(k).collect();
+            assert_eq!(prefix, want[..k]);
+            assert_eq!(copy.len(), expected.len() - k);
+            assert!(copy
+                .iter()
+                .map(|(p, m)| (p, *m))
+                .eq(want[k..].iter().copied()));
+            let rest: Vec<_> = copy.drain().collect();
+            assert_eq!(rest, want[k..]);
+            assert!(copy.is_empty());
+
+            // A full drain yields the map; the emptied buffers are reusable.
+            let drained: Vec<_> = inbox.drain().collect();
+            assert_eq!(drained, want);
+            assert!(inbox.is_empty());
+            assert_eq!(inbox, Inbox::new());
+            let mut reused = inbox.detach();
+            reused.deliver_shared(ProcessId(0));
+            let reused = reused.attach(&table);
+            assert_eq!(reused.to_map(), [(ProcessId(0), table[0].unwrap())].into());
+        }
+    }
+
+    #[test]
+    fn clear_empties_both_parts() {
+        let mut rng = SimRng::seed_from_u64(7);
+        let (table, inbox, expected) = random_inbox(&mut rng, 300);
+        assert!(!expected.is_empty());
+        let mut inbox = inbox.attach(&table);
+        inbox.clear();
+        assert!(inbox.is_empty());
+        assert_eq!(inbox.iter().count(), 0);
+        assert_eq!(inbox, Inbox::new());
     }
 }

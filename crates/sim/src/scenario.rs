@@ -550,7 +550,7 @@ mod tests {
                 self.decision = Some(self.proposal);
             }
             let mut out = Outbox::new();
-            out.send_to_all(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 
@@ -560,7 +560,7 @@ mod tests {
             }
             let mut out = Outbox::new();
             if round.0 < self.stop_after {
-                out.send_to_all(ctx.others(), self.proposal);
+                out.broadcast_to_others(ctx, self.proposal);
             }
             out
         }

@@ -7,12 +7,15 @@
 //! * [`FullTrace`] writes payloads straight into the trace-complete
 //!   [`Execution`](crate::Execution) the proof machinery reads
 //!   (`swap_omission`, `merge`, [`Execution::validate`](crate::Execution::validate),
-//!   certificates); its only payload clone is one per sent message;
+//!   certificates); it clones each payload once where it is sent and once
+//!   where it is received (draining the inbox, whose broadcast payloads
+//!   are shared with every receiver of the round);
 //! * [`CompressedTrace`] records the same trace into a caller's
 //!   [`PayloadArena`] as a [`CompressedExecution`] of `u32` handles — the
 //!   form `ba-check` fingerprints and the falsifier's parallel scan keeps
-//!   resident; hydrating it through the arena equals the [`FullTrace`]
-//!   execution bit for bit;
+//!   resident; it interns by reference, cloning a payload only on its first
+//!   appearance, and hydrating it through the arena equals the
+//!   [`FullTrace`] execution bit for bit;
 //! * [`StatsSink`] accumulates a [`ScenarioStats`] report with **zero
 //!   payload clones and no fragment allocation** — the fast path for
 //!   campaign sweeps that only consume aggregate statistics.
@@ -374,13 +377,14 @@ impl<P: Protocol> TraceSink<P> for CompressedTrace<'_, P> {
     }
 
     fn absorb_inbox(&mut self, round: Round, receiver: ProcessId, inbox: &mut Inbox<P::Msg>) {
-        // Intern (usually a hash probe, not a clone) the round's payloads;
-        // dense sender order matches BTreeMap order, so inserts are
-        // in-order appends.
-        for (sender, payload) in inbox.drain() {
-            let id = self.arena.intern_owned(payload);
-            self.fragment(receiver, round).received.insert(sender, id);
+        // Intern the round's payloads by reference (a hash probe; a clone
+        // only on a payload's first appearance); ascending sender order
+        // makes the inserts in-order appends.
+        let received = &mut self.records[receiver.index()].fragments[round.index()].received;
+        for (sender, payload) in inbox.iter() {
+            received.insert(sender, self.arena.intern(payload));
         }
+        inbox.clear();
     }
 
     fn finish(mut self, summary: RunSummary<P>) -> Self::Output {

@@ -129,7 +129,7 @@ mod tests {
         fn outbox(&self, ctx: &ProcessCtx) -> Outbox<Bit> {
             let mut out = Outbox::new();
             if self.broadcast {
-                out.broadcast(ctx.others(), self.proposal);
+                out.broadcast_to_others(ctx, self.proposal);
             } else {
                 for peer in ctx.others() {
                     out.send(peer, self.proposal);

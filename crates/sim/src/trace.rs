@@ -248,7 +248,7 @@ mod tests {
 
         fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
             let mut out = Outbox::new();
-            out.send_to_all(ctx.others(), proposal);
+            out.broadcast_to_others(ctx, proposal);
             out
         }
 
