@@ -156,9 +156,9 @@ impl<P: Protocol> Slot<'_, P> {
 /// broadcast is addressed a word at a time and fanned out by reference: a
 /// delivered edge sets one bit in the receiver's inbox, and the payload
 /// moves — never cloned — into the sender's table slot if any receiver got
-/// it. An inbox with such deliveries reads the table during its process's
-/// step and lets go of it afterwards; the table is emptied once every
-/// process has stepped. Only a full-trace sink pays clone costs. The envelope queue for delivery
+/// it. Each inbox reads the table during its process's step and lets go of
+/// it afterwards; the table is emptied once every process has stepped. Only
+/// a full-trace sink pays clone costs. The envelope queue for delivery
 /// rescheduling is materialized **only** when the model asks for it
 /// ([`FaultModel::reorders`]), so non-scheduling models keep the dense
 /// per-sender fast path, and its deliveries move owned payloads into the
@@ -340,34 +340,27 @@ where
                     }
                     // A delivered edge is the sink event, the receiver's
                     // counter and one bit in its inbox; the sender's count
-                    // is added once per fan-out. The word-by-word walk
-                    // keeps this loop tight.
-                    let mut decisions = routings.drain(..);
+                    // is added once per fan-out.
                     let mut delivered = 0u64;
-                    for (base, mut bits) in mask.words() {
-                        while bits != 0 {
-                            let receiver = ProcessId(base + bits.trailing_zeros() as usize);
-                            bits &= bits - 1;
-                            let routing = decisions.next().expect("counted above");
-                            if let Routing::Deliver = routing {
-                                sink.sent(round, sender, receiver, &payload);
-                                delivered_count[receiver.index()] += 1;
-                                inboxes[receiver.index()].deliver_shared(sender);
-                                delivered += 1;
-                            } else {
-                                route_shared::<P, S>(
-                                    routing,
-                                    round,
-                                    sender,
-                                    receiver,
-                                    &payload,
-                                    &corrupted,
-                                    &mut sent_count,
-                                    &mut delivered_count,
-                                    &mut inboxes,
-                                    &mut sink,
-                                )?;
-                            }
+                    for (receiver, routing) in mask.iter().zip(routings.drain(..)) {
+                        if let Routing::Deliver = routing {
+                            sink.sent(round, sender, receiver, &payload);
+                            delivered_count[receiver.index()] += 1;
+                            inboxes[receiver.index()].deliver_shared(sender);
+                            delivered += 1;
+                        } else {
+                            route_shared::<P, S>(
+                                routing,
+                                round,
+                                sender,
+                                receiver,
+                                &payload,
+                                &corrupted,
+                                &mut sent_count,
+                                &mut delivered_count,
+                                &mut inboxes,
+                                &mut sink,
+                            )?;
                         }
                     }
                     sent_count[sender.index()] += delivered;
@@ -432,37 +425,23 @@ where
             }
         }
 
-        // Deliver inboxes and compute next-round outboxes. An inbox with
-        // broadcast deliveries borrows the table for its process's step
-        // only, so the table can be emptied and refilled next round; the
-        // other inboxes step in place.
+        // Deliver inboxes and compute next-round outboxes. Each inbox
+        // borrows the table for its process's step only, so the table can
+        // be emptied and refilled next round.
         let mut any_pending = false;
         for (i, slot) in slots.iter_mut().enumerate() {
             let pid = ProcessId(i);
-            // The step, expanded for either inbox lifetime (a closure
-            // would cost a call per process and round).
-            macro_rules! step {
-                ($inbox:expr) => {{
-                    let inbox = $inbox;
-                    let out = slot.round(&ctxs[i], round, inbox);
-                    validate_outbox(pid, &out, n, round.next())?;
-                    any_pending |= !out.is_empty();
-                    outboxes[i] = out;
-                    sink.absorb_inbox(round, pid, inbox);
-                    // Conforming sinks leave the inbox empty (then this
-                    // is O(1)); clearing unconditionally keeps a
-                    // non-conforming custom sink from corrupting later
-                    // rounds with stale redeliveries.
-                    inbox.clear();
-                }};
-            }
-            if inboxes[i].has_shared() {
-                let mut inbox = std::mem::take(&mut inboxes[i]).attach(&table);
-                step!(&mut inbox);
-                inboxes[i] = inbox.detach();
-            } else {
-                step!(&mut inboxes[i]);
-            }
+            let mut inbox = std::mem::take(&mut inboxes[i]).attach(&table);
+            let out = slot.round(&ctxs[i], round, &inbox);
+            validate_outbox(pid, &out, n, round.next())?;
+            any_pending |= !out.is_empty();
+            outboxes[i] = out;
+            sink.absorb_inbox(round, pid, &mut inbox);
+            // Conforming sinks leave the inbox empty (then this is O(1));
+            // clearing unconditionally keeps a non-conforming custom sink
+            // from corrupting later rounds with stale redeliveries.
+            inbox.clear();
+            inboxes[i] = inbox.detach();
             observe_decision(&mut decisions[i], slot, pid, round.next())?;
         }
         if table_used {
@@ -655,12 +634,7 @@ where
         }
     }
     match routing {
-        Routing::Deliver => {
-            sink.sent(round, sender, receiver, payload);
-            sent_count[sender.index()] += 1;
-            delivered_count[receiver.index()] += 1;
-            inboxes[receiver.index()].deliver(sender, payload.clone());
-        }
+        Routing::Deliver => unreachable!("the fan-out delivers"),
         Routing::SendOmit => {
             sink.send_omitted(round, sender, receiver, payload.clone());
         }

@@ -23,6 +23,7 @@
 //! per-receiver sends and deliveries.
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::iter::Chain;
 use std::slice;
 
@@ -111,7 +112,13 @@ impl ReceiverMask {
         let word = self.word_mut(w);
         let fresh = *word & (1 << b) == 0;
         *word |= 1 << b;
-        self.count += fresh as usize;
+        // A branch, not `count += fresh as usize`: rustc 1.95.0 with MIR
+        // optimizations on (release) miscompiles that cast once this is
+        // inlined into a caller that branches on the result, leaving the
+        // count unchanged.
+        if fresh {
+            self.count += 1;
+        }
         fresh
     }
 
@@ -125,7 +132,10 @@ impl ReceiverMask {
         let word = self.word_mut(w);
         let present = *word & (1 << b) != 0;
         *word &= !(1 << b);
-        self.count -= present as usize;
+        // A branch for the reason given in `insert`.
+        if present {
+            self.count -= 1;
+        }
         present
     }
 
@@ -186,33 +196,16 @@ impl ReceiverMask {
         Some(rank)
     }
 
-    /// The words in ascending order, inline then spilled.
-    #[inline]
-    fn words_iter(&self) -> MaskWords<'_> {
-        self.lo.iter().chain(&self.hi)
-    }
-
-    /// `(first id, word)` for each word in ascending order: a caller's
-    /// nested loop over the set bits is tighter than [`iter`](Self::iter).
-    pub(crate) fn words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.words_iter()
-            .enumerate()
-            .map(|(w, &bits)| (w * 64, bits))
-    }
-
     /// Iterates the ids in ascending order.
     #[inline]
     pub fn iter(&self) -> ReceiverMaskIter<'_> {
         ReceiverMaskIter {
-            words: self.words_iter(),
+            words: self.lo.iter().chain(&self.hi),
             base: 0usize.wrapping_sub(64),
             bits: 0,
         }
     }
 }
-
-/// A [`ReceiverMask`]'s words in ascending order.
-type MaskWords<'a> = Chain<slice::Iter<'a, u64>, slice::Iter<'a, u64>>;
 
 impl PartialEq for ReceiverMask {
     fn eq(&self, other: &Self) -> bool {
@@ -235,7 +228,8 @@ impl FromIterator<ProcessId> for ReceiverMask {
 
 /// Ascending iterator over the ids of a [`ReceiverMask`].
 pub struct ReceiverMaskIter<'a> {
-    words: MaskWords<'a>,
+    /// The words in ascending order, inline then spilled.
+    words: Chain<slice::Iter<'a, u64>, slice::Iter<'a, u64>>,
     /// The first id of the current word.
     base: usize,
     /// The current word's ids not yet yielded.
@@ -726,7 +720,7 @@ impl<M: Payload> IntoIterator for Outbox<M> {
 /// forged and rescheduled payloads are owned, in a dense slab. Every view
 /// (iteration, lookup, length, equality, drain) presents the union in
 /// ascending sender order, so how a message arrived is unobservable.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Inbox<'r, M> {
     table: &'r [Option<M>],
     shared: ReceiverMask,
@@ -775,12 +769,6 @@ impl<'r, M: Payload> Inbox<'r, M> {
         }
     }
 
-    /// `true` iff some delivery is in the round's table, so reading this
-    /// inbox needs the table attached.
-    pub(crate) fn has_shared(&self) -> bool {
-        !self.shared.is_empty()
-    }
-
     /// Points the shared part at the round's table, whose slot of every
     /// sender in the bitmask holds that sender's payload.
     pub(crate) fn attach(mut self, table: &'r [Option<M>]) -> Self {
@@ -821,19 +809,12 @@ impl<'r, M: Payload> Inbox<'r, M> {
     /// Iterates over `(sender, payload)` pairs in sender order, without
     /// allocating.
     pub fn iter(&self) -> impl Iterator<Item = (ProcessId, &M)> {
-        // The first word is loaded here, so an inbox of at most 64
-        // senders never advances.
         let owned = self.owned.occupied();
-        let mut shared_words = self.shared.words_iter();
-        let owned_bits = occupied_bits(owned, 0);
         InboxIter {
             table: self.table,
+            shared: &self.shared,
             owned,
-            bits: shared_words.next().copied().unwrap_or(0) | owned_bits,
-            shared_words,
-            remaining: self.len(),
-            base: 0,
-            owned_bits,
+            cursor: Cursor::new(self.len(), &self.shared, owned),
         }
     }
 
@@ -856,12 +837,9 @@ impl<'r, M: Payload> Inbox<'r, M> {
     pub fn drain(&mut self) -> impl Iterator<Item = (ProcessId, M)> + '_ {
         InboxDrain {
             table: self.table,
-            remaining: self.len(),
+            cursor: Cursor::new(self.len(), &self.shared, &self.owned.slots),
             shared: &mut self.shared,
             owned: &mut self.owned,
-            base: 0usize.wrapping_sub(64),
-            bits: 0,
-            owned_bits: 0,
         }
     }
 
@@ -891,16 +869,19 @@ impl<M: Payload> PartialEq for Inbox<'_, M> {
 
 impl<M: Payload> Eq for Inbox<'_, M> {}
 
-/// [`Inbox::iter`]: one ascending walk over the shared bitmask and the
-/// owned slots in lockstep, a word of 64 ids at a time, reading each
-/// payload from the part its id belongs to. Nothing is compared or peeked
-/// across the parts, and with nothing owned (every pure-broadcast round)
-/// only the shared bitmask is walked, straight into the table.
-struct InboxIter<'a, M> {
-    table: &'a [Option<M>],
-    /// The owned slots; empty when nothing is owned.
-    owned: &'a [Option<M>],
-    shared_words: MaskWords<'a>,
+/// Shows the received messages only, never the rest of the round's table.
+impl<M: Payload> fmt::Debug for Inbox<'_, M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// One ascending walk over an inbox's two parts in lockstep, a word of 64
+/// ids at a time, telling for each id which part holds its payload. Nothing
+/// is compared or peeked across the parts, and with nothing owned (every
+/// pure-broadcast round) only the shared bitmask is walked. Backs both
+/// [`Inbox::iter`] and [`Inbox::drain`].
+struct Cursor {
     /// Ids not yet yielded, so the walk stops at the last one.
     remaining: usize,
     /// The first id of the current word.
@@ -911,6 +892,47 @@ struct InboxIter<'a, M> {
     owned_bits: u64,
 }
 
+impl Cursor {
+    /// A walk over `remaining` ids. The first word is loaded here, so an
+    /// inbox of at most 64 senders never advances.
+    fn new<M>(remaining: usize, shared: &ReceiverMask, owned: &[Option<M>]) -> Self {
+        let owned_bits = occupied_bits(owned, 0);
+        Cursor {
+            remaining,
+            base: 0,
+            bits: shared.word(0) | owned_bits,
+            owned_bits,
+        }
+    }
+
+    /// The next id, and `true` iff the owned part holds its payload.
+    #[inline]
+    fn next<M>(&mut self, shared: &ReceiverMask, owned: &[Option<M>]) -> Option<(ProcessId, bool)> {
+        if self.remaining == 0 || (self.bits == 0 && !self.advance(shared, owned)) {
+            return None;
+        }
+        self.remaining -= 1;
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some((ProcessId(self.base + b), self.owned_bits >> b & 1 != 0))
+    }
+
+    /// Moves to the next word with an id in either part; `false` once
+    /// there is none.
+    #[inline(never)]
+    fn advance<M>(&mut self, shared: &ReceiverMask, owned: &[Option<M>]) -> bool {
+        while self.bits == 0 {
+            self.base += 64;
+            if self.base / 64 >= shared.word_count() && self.base >= owned.len() {
+                return false;
+            }
+            self.owned_bits = occupied_bits(owned, self.base);
+            self.bits = shared.word(self.base / 64) | self.owned_bits;
+        }
+        true
+    }
+}
+
 /// The payload in `sender`'s slot, which an inbox bit marks as filled.
 #[inline]
 fn filled<M>(slots: &[Option<M>], sender: ProcessId) -> &M {
@@ -919,22 +941,13 @@ fn filled<M>(slots: &[Option<M>], sender: ProcessId) -> &M {
         .expect("an inbox bit marks a filled slot")
 }
 
-impl<M> InboxIter<'_, M> {
-    /// Moves to the next word with an id in either part; `false` once
-    /// there is none.
-    #[inline(never)]
-    fn advance(&mut self) -> bool {
-        while self.bits == 0 {
-            self.base = self.base.wrapping_add(64);
-            let shared = self.shared_words.next();
-            if shared.is_none() && self.base >= self.owned.len() {
-                return false;
-            }
-            self.owned_bits = occupied_bits(self.owned, self.base);
-            self.bits = shared.copied().unwrap_or(0) | self.owned_bits;
-        }
-        true
-    }
+/// [`Inbox::iter`]: reads each payload from the part its id belongs to.
+struct InboxIter<'a, M> {
+    table: &'a [Option<M>],
+    shared: &'a ReceiverMask,
+    /// The owned slots; empty when nothing is owned.
+    owned: &'a [Option<M>],
+    cursor: Cursor,
 }
 
 impl<'a, M> Iterator for InboxIter<'a, M> {
@@ -942,57 +955,30 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 || (self.bits == 0 && !self.advance()) {
-            return None;
-        }
-        self.remaining -= 1;
-        let b = self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        let sender = ProcessId(self.base + b);
-        if self.owned_bits >> b & 1 != 0 {
-            return Some((sender, filled(self.owned, sender)));
-        }
-        Some((sender, filled(self.table, sender)))
+        let (sender, owned) = self.cursor.next(self.shared, self.owned)?;
+        let slots = if owned { self.owned } else { self.table };
+        Some((sender, filled(slots, sender)))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
+        (self.cursor.remaining, Some(self.cursor.remaining))
     }
 }
 
-/// [`Inbox::drain`]: the same walk as [`InboxIter`], removing each id from
-/// the inbox as it is yielded.
+/// [`Inbox::drain`]: removes each id from the inbox as it is yielded.
 struct InboxDrain<'a, M> {
     table: &'a [Option<M>],
     shared: &'a mut ReceiverMask,
     owned: &'a mut Slab<M>,
-    /// As in [`InboxIter`].
-    remaining: usize,
-    base: usize,
-    bits: u64,
-    owned_bits: u64,
+    cursor: Cursor,
 }
 
 impl<M: Clone> Iterator for InboxDrain<'_, M> {
     type Item = (ProcessId, M);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        while self.bits == 0 {
-            self.base = self.base.wrapping_add(64);
-            if self.base / 64 >= self.shared.word_count() && self.base >= self.owned.slots.len() {
-                return None;
-            }
-            self.owned_bits = occupied_bits(&self.owned.slots, self.base);
-            self.bits = self.shared.word(self.base / 64) | self.owned_bits;
-        }
-        let b = self.bits.trailing_zeros() as usize;
-        self.bits &= self.bits - 1;
-        let sender = ProcessId(self.base + b);
-        if self.owned_bits >> b & 1 != 0 {
+        let (sender, owned) = self.cursor.next(self.shared, &self.owned.slots)?;
+        if owned {
             let payload = self.owned.remove(sender).expect("an occupied slot");
             return Some((sender, payload));
         }
@@ -1383,8 +1369,9 @@ mod tests {
         Inbox<'static, u16>,
         BTreeMap<ProcessId, u16>,
     ) {
-        let path = rng.gen_index(0, 3); // 0: shared only, 1: owned only, 2: mixed
-                                        // Every sender broadcasts; this receiver hears a random subset.
+        // 0: shared only, 1: owned only, 2: mixed.
+        let path = rng.gen_index(0, 3);
+        // Every sender broadcasts; this receiver hears a random subset.
         let table: Vec<Option<u16>> = (0..n).map(|_| Some(rng.gen_index(0, 5) as u16)).collect();
         let mut senders: Vec<ProcessId> = ProcessId::all(n).filter(|_| rng.gen_bool(0.6)).collect();
         rng.shuffle(&mut senders);
@@ -1432,6 +1419,8 @@ mod tests {
             assert_eq!(inbox, reference);
             assert_eq!(reference, inbox);
             assert_eq!(inbox.to_map(), expected);
+            // Debug shows what was received, not the rest of the table.
+            assert_eq!(format!("{inbox:?}"), format!("{expected:?}"));
 
             // A partial drain removes exactly the yielded prefix.
             let k = rng.gen_index(0, expected.len() + 1);
