@@ -26,7 +26,7 @@ use ba_check::{
     CheckOutcome, CheckProgress, CheckSpec, CorruptionSpace, ViolationKey, DEFAULT_MAX_EXECUTIONS,
 };
 use ba_dist::{Decode, Encode, WireError, WireReader};
-use ba_sim::{Bit, CampaignPoint, ExecutorConfig, Payload, ProcessId, Protocol};
+use ba_sim::{Bit, CampaignPoint, ExecutorConfig, Payload, ProcessId, Protocol, SimError};
 
 /// Prefix of a check adversary label.
 pub const CHECK_LABEL_PREFIX: &str = "check:";
@@ -210,8 +210,24 @@ impl CheckLabel {
 
     /// Instantiates the [`CheckSpec`] this label denotes at a grid point's
     /// `(n, t)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `t < n`; [`try_to_spec`](CheckLabel::try_to_spec)
+    /// reports that as an error instead.
     pub fn to_spec<M: Payload>(&self, n: usize, t: usize) -> CheckSpec<M> {
-        let mut spec = CheckSpec::new(ExecutorConfig::new(n, t), self.rounds)
+        self.try_to_spec(n, t)
+            .unwrap_or_else(|e| panic!("check label at n = {n}, t = {t}: {e}"))
+    }
+
+    /// [`to_spec`](CheckLabel::to_spec), reporting a resilience bound the
+    /// executor cannot run (`t ≥ n`) as a typed error.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidResilience`] unless `t < n`.
+    pub fn try_to_spec<M: Payload>(&self, n: usize, t: usize) -> Result<CheckSpec<M>, SimError> {
+        let mut spec = CheckSpec::new(ExecutorConfig::try_new(n, t)?, self.rounds)
             .reorder(self.reorder)
             .max_executions(self.max_executions)
             .slice(self.slice.0, self.slice.1);
@@ -221,7 +237,7 @@ impl CheckLabel {
             CorruptionSpace::UpTo(b) => CorruptionSpace::UpTo((*b).min(t)),
             fixed => fixed.clone(),
         };
-        spec
+        Ok(spec)
     }
 
     /// The `k` slice labels of this label's space, for planning one grid
@@ -386,9 +402,9 @@ pub fn merge_check_points(points: &[CheckSweepPoint]) -> Result<CheckSweepPoint,
 ///
 /// # Errors
 ///
-/// Returns a message for malformed labels and refused (oversized) spaces;
-/// simulator errors also surface as messages, since a check cannot
-/// partially fail.
+/// Returns a message for malformed labels, resilience bounds the executor
+/// cannot run (`t ≥ n`) and refused (oversized) spaces; simulator errors
+/// also surface as messages, since a check cannot partially fail.
 pub fn check_point<P, F>(
     point: &CampaignPoint,
     factory: F,
@@ -400,14 +416,22 @@ where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P + Sync,
 {
-    let label = CheckLabel::parse(&point.adversary)?;
-    let spec: CheckSpec<P::Msg> = label.to_spec(point.n, point.t);
+    let spec: CheckSpec<P::Msg> = point_spec(point)?;
     let outcome = ba_check::check_with_progress(&spec, factory, proposals, threads, hook)
         .map_err(|e| format!("check at {point}: {e}"))?;
     Ok((
         CheckSweepPoint::from_outcome(point.clone(), &outcome),
         outcome,
     ))
+}
+
+/// The [`CheckSpec`] a grid point's `check:` label denotes at the point's
+/// `(n, t)`; a malformed label or a bound the executor cannot run
+/// (`t ≥ n`) is a message naming the point.
+pub(crate) fn point_spec<M: Payload>(point: &CampaignPoint) -> Result<CheckSpec<M>, String> {
+    CheckLabel::parse(&point.adversary)?
+        .try_to_spec(point.n, point.t)
+        .map_err(|e| format!("check at {point}: {e}"))
 }
 
 fn join_u64s(values: impl Iterator<Item = u64>) -> String {

@@ -60,7 +60,7 @@ use ba_sim::{
     RandomOmissionPlan, Round, Scenario, SimRng, TraceMode,
 };
 
-use crate::check::{check_point, CheckLabel, CheckSweepPoint};
+use crate::check::{check_point, point_spec, CheckSweepPoint};
 use crate::{falsify_point_recorded, FalsifierSweepPoint};
 
 /// Labels resolvable by [`run_manifest`] (scenario and falsifier modes
@@ -243,13 +243,13 @@ pub fn run_manifest_recorded(
     }
 }
 
-/// Rejects malformed `check:` adversary labels and check spaces whose
-/// corruption enumeration is refused as too large — *before* any work
-/// runs, so a worker never half-explores a misconfigured sweep.
+/// Rejects malformed `check:` adversary labels, points the executor
+/// cannot run (`t ≥ n`) and check spaces whose corruption enumeration is
+/// refused as too large — *before* any work runs, so a worker never
+/// half-explores a misconfigured sweep.
 fn validate_check_labels(points: &[CampaignPoint]) -> Result<(), String> {
     for point in points {
-        let label = CheckLabel::parse(&point.adversary)?;
-        let spec: CheckSpec<Bit> = label.to_spec(point.n, point.t);
+        let spec: CheckSpec<Bit> = point_spec(point)?;
         spec.corruption_subsets()
             .map_err(|e| format!("check at {point}: {e}"))?;
     }
@@ -289,8 +289,7 @@ where
 {
     let mut outcomes = Vec::with_capacity(manifest.entries.len());
     for (local, entry) in manifest.entries.iter().enumerate() {
-        let label = CheckLabel::parse(&entry.point.adversary)?;
-        let spec: CheckSpec<P::Msg> = label.to_spec(entry.point.n, entry.point.t);
+        let spec: CheckSpec<P::Msg> = point_spec(&entry.point)?;
         let proposals = input_bits(&entry.point.inputs, entry.point.n, entry.seed);
         let hook = on_progress.map(|sink| move |p: CheckProgress| sink(local, p));
         let outcome = ba_check::check_with_progress(
@@ -398,8 +397,9 @@ pub fn run_manifest_streaming(
 /// # Errors
 ///
 /// Returns a message for unknown protocol labels, malformed check labels,
-/// refused spaces, simulator failures, and violations that fail
-/// revalidation (an explorer bug).
+/// resilience bounds the executor cannot run (`t ≥ n`), refused spaces,
+/// simulator failures, and violations that fail revalidation (an explorer
+/// bug).
 pub fn registry_check(
     point: &CampaignPoint,
     protocol: &str,
@@ -419,8 +419,7 @@ pub fn registry_check(
                 .certificate
                 .verify()
                 .map_err(|e| format!("violation certificate failed to re-verify: {e}"))?;
-            let label = CheckLabel::parse(&point.adversary)?;
-            let spec = label.to_spec(point.n, point.t);
+            let spec = point_spec(point)?;
             let replay = ba_check::replay(&spec, factory(point), &proposals, &found.choices)
                 .map_err(|e| format!("violation tape failed to replay: {e}"))?;
             if replay.corrupted != found.corrupted

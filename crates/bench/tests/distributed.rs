@@ -356,4 +356,30 @@ fn worker_binary_rejects_garbage_and_unknown_labels() {
     });
     assert_eq!(streamed, Err(direct));
     assert!(emitted.into_inner().unwrap().is_empty());
+
+    // A check point the executor cannot run (t ≥ n) is rejected the same
+    // way, before a spec is built.
+    let point = CampaignPoint::new(2, 2)
+        .with_adversary(ba_bench::check::CheckLabel::new(1).render())
+        .with_inputs("zeros");
+    let manifest = &plan_shards(
+        &SweepSpec::check(vec![point.clone()], "one-round-all-to-all"),
+        1,
+    )[0];
+    let unrunnable = run_with_stdin(&manifest.to_wire());
+    assert!(!unrunnable.status.success());
+    let stderr = String::from_utf8_lossy(&unrunnable.stderr);
+    assert!(
+        stderr.contains(&format!("check at {point}")),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let direct = ba_bench::dist::run_manifest(manifest).unwrap_err();
+    assert!(direct.contains(&point.to_string()), "{direct}");
+    let emitted = std::sync::Mutex::new(Vec::new());
+    let streamed = ba_bench::dist::run_manifest_streaming(manifest, false, &|chunk: &str| {
+        emitted.lock().unwrap().push(chunk.to_string())
+    });
+    assert_eq!(streamed, Err(direct));
+    assert!(emitted.into_inner().unwrap().is_empty());
 }

@@ -23,9 +23,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
 use ba_core::lowerbound::{weak_consensus_violation, Certificate, ViolationKind};
-use ba_sim::{
-    par_map, Adversary, Bit, CompressedTrace, Outcomes, PayloadArena, ProcessId, Protocol, Scenario,
-};
+use ba_sim::{par_map, Adversary, Bit, FingerprintSink, Outcomes, ProcessId, Protocol, Scenario};
 
 use crate::tape::{PointRec, TapeModel};
 use crate::{
@@ -141,38 +139,34 @@ impl ProgressSink<'_> {
     }
 }
 
-/// Runs one tape: interprets it through a [`TapeModel`], records the
-/// execution compressed into `arena`, then fingerprints and classifies it
-/// in that form.
+/// Runs one tape: interprets it through a [`TapeModel`], fingerprinting
+/// the execution while it runs, then classifies its outcomes.
 fn run_leaf<P, F>(
     spec: &CheckSpec<P::Msg>,
     subsets: &[BTreeSet<ProcessId>],
     factory: &F,
     proposals: &[Bit],
     tape: &[u32],
-    arena: &mut PayloadArena<P::Msg>,
 ) -> Result<Leaf, CheckError>
 where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P,
 {
     let mut model = TapeModel::new(spec, subsets, tape);
-    let execution = Scenario::config(&spec.cfg)
+    let run = Scenario::config(&spec.cfg)
         .protocol(factory)
         .inputs(proposals.iter().cloned())
         .adversary(Adversary::model(&mut model))
-        .run_with_sink(CompressedTrace::new(arena))?;
-    let fingerprint = execution.fingerprint(arena);
-    let violation = classify(&execution);
+        .run_with_sink(FingerprintSink::new())?;
     Ok(Leaf {
         points: model.points().to_vec(),
         corrupted: model.corrupted().clone(),
-        fingerprint,
-        violation,
+        fingerprint: run.fingerprint,
+        violation: classify(&run),
     })
 }
 
-/// Full weak-consensus verdict of one execution, full or compressed: the
+/// Full weak-consensus verdict of one execution, full or fingerprinted: the
 /// shared Termination/Agreement scan, plus Weak Validity on fully correct
 /// uniform-proposal executions (the only ones it constrains).
 fn classify<E>(execution: &E) -> Option<ViolationKind>
@@ -285,14 +279,13 @@ where
     F: Fn(ProcessId) -> P,
 {
     let mut stats = SubStats::default();
-    let mut arena = PayloadArena::new();
     let mut stack = vec![root];
     while let Some(tape) = stack.pop() {
         if stats.executions >= budget {
             stats.incomplete = true;
             break;
         }
-        let leaf = run_leaf(spec, subsets, factory, proposals, &tape, &mut arena)?;
+        let leaf = run_leaf(spec, subsets, factory, proposals, &tape)?;
         if let Some(sink) = progress {
             sink.note(leaf.fingerprint, tape.len(), false);
         }
@@ -336,7 +329,6 @@ where
     // slice. Only slice 0 banks the warm-up leaves; the others replay the
     // expansion purely to reconstruct the same frontier.
     let mut stats = SubStats::default();
-    let mut warmup_arena = PayloadArena::new();
     let mut warmup_executions = 0u64;
     let mut queue: VecDeque<Vec<u32>> = VecDeque::from([Vec::new()]);
     while queue.len() < FRONTIER_TARGET {
@@ -346,7 +338,7 @@ where
             queue.clear();
             break;
         }
-        let leaf = run_leaf(spec, &subsets, factory, proposals, &tape, &mut warmup_arena)?;
+        let leaf = run_leaf(spec, &subsets, factory, proposals, &tape)?;
         warmup_executions += 1;
         if let Some(sink) = progress {
             sink.note(leaf.fingerprint, tape.len(), false);
@@ -481,9 +473,37 @@ where
 #[cfg(test)]
 mod tests {
     use ba_protocols::broken::OneRoundAllToAll;
-    use ba_sim::{Bit, ExecutorConfig, ProcessId};
+    use ba_sim::{Bit, ExecutorConfig, Inbox, Outbox, ProcessCtx, ProcessId, Protocol, Round};
 
     use crate::{check, merge_outcomes, replay, CheckOutcome, CheckSpec};
+
+    /// Broadcasts its proposal once and decides it, whatever it hears: the
+    /// payloads it receives never reach its outcome.
+    #[derive(Clone, Default)]
+    struct Announce {
+        decision: Option<Bit>,
+    }
+
+    impl Protocol for Announce {
+        type Input = Bit;
+        type Output = Bit;
+        type Msg = Bit;
+
+        fn propose(&mut self, ctx: &ProcessCtx, proposal: Bit) -> Outbox<Bit> {
+            self.decision = Some(proposal);
+            let mut out = Outbox::new();
+            out.broadcast_to_others(ctx, proposal);
+            out
+        }
+
+        fn round(&mut self, _: &ProcessCtx, _: Round, _: &Inbox<Bit>) -> Outbox<Bit> {
+            Outbox::new()
+        }
+
+        fn decision(&self) -> Option<Bit> {
+            self.decision
+        }
+    }
 
     fn one_round_spec() -> CheckSpec<Bit> {
         CheckSpec::new(ExecutorConfig::new(4, 1), 1).send_only()
@@ -621,12 +641,15 @@ mod tests {
         let outcome = check(&spec, |_| OneRoundAllToAll::new(), &proposals, 1).unwrap();
         let report = outcome.report().clone();
         assert!(report.complete);
-        assert!(report.executions > 1, "the swap branch must be explored");
-        assert!(
-            report.states() < report.executions,
-            "permutation-equivalent executions must deduplicate: {} states / {} executions",
+        // Exact counts: every swap branch pairs with an identity-order
+        // twin, so a fingerprint that saw delivery order would read 18
+        // states, and one that missed a fate or payload would read fewer
+        // than 9.
+        assert_eq!(report.executions, 18, "the swap branches must be explored");
+        assert_eq!(
             report.states(),
-            report.executions
+            9,
+            "permutation-equivalent executions must deduplicate"
         );
     }
 
@@ -657,6 +680,21 @@ mod tests {
         )
         .unwrap();
         assert_eq!(replayed.violation, Some(violation.certificate.kind));
+    }
+
+    #[test]
+    fn forged_payloads_are_states_of_their_own() {
+        // A forged edge and a delivered one differ only in the payload, and
+        // nobody's outcome depends on it here, so only the payload tells
+        // the two executions apart: every branch must stay its own state.
+        let spec: CheckSpec<Bit> = CheckSpec::new(ExecutorConfig::new(3, 1), 1)
+            .static_corruption([ProcessId(0)])
+            .forge([Bit::One]);
+        let outcome = check(&spec, |_| Announce::default(), &[Bit::Zero; 3], 1).unwrap();
+        let report = outcome.report();
+        assert!(report.complete);
+        assert_eq!(report.executions, 36);
+        assert_eq!(report.states(), 36, "forged payloads must separate states");
     }
 
     #[test]

@@ -19,12 +19,12 @@
 //!   enough, then fans the frontier subtrees out over
 //!   [`ba_sim::par_map`] — results are merged in deterministic order, so
 //!   the outcome is **bit-identical at every thread count**;
-//! * records every visited execution straight into a
-//!   [`ba_sim::PayloadArena`] ([`ba_sim::CompressedTrace`]) and
-//!   deduplicates states by the content-addressed
-//!   [`fingerprint`](ba_sim::CompressedExecution::fingerprint) — distinct
-//!   adversary branches that produce the same execution count as one
-//!   state;
+//! * fingerprints every visited execution while it runs, through
+//!   [`ba_sim::FingerprintSink`] (no trace, arena or payload clone is
+//!   kept), and deduplicates states by that
+//!   [`fingerprint`](ba_sim::Fingerprinted::fingerprint) — distinct
+//!   adversary branches that produce the same execution, up to the order
+//!   of deliveries within a round, count as one state;
 //! * supports **sharding**: [`CheckSpec::slice`] assigns each shard a
 //!   residue class of the frontier subtrees, and
 //!   [`merge_outcomes`] recombines shard outcomes such that

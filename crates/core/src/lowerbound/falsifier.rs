@@ -378,9 +378,9 @@ impl<M: Payload> Certificate<M> {
 /// deliberately out of scope — it only applies to fully correct executions
 /// and is checked separately by callers that enumerate those.
 ///
-/// It reads `exec` through [`Outcomes`], so a full [`Execution`] and an
-/// arena-backed [`CompressedExecution`](ba_sim::CompressedExecution) are
-/// classified by this one function, each in the form it was recorded in.
+/// It reads `exec` through [`Outcomes`], so a full [`Execution`] and a
+/// [`Fingerprinted`](ba_sim::Fingerprinted) run are classified by this one
+/// function, each in the form it was recorded in.
 pub fn weak_consensus_violation<E>(exec: &E) -> Option<ViolationKind>
 where
     E: Outcomes<Input = Bit, Output = Bit>,

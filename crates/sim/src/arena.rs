@@ -9,19 +9,21 @@
 //! Who records which form:
 //!
 //! * [`CompressedTrace`](crate::CompressedTrace) records a run straight
-//!   into a caller's arena. `ba-check`'s explorer reads the result through
-//!   [`CompressedExecution::fingerprint`] (state dedup) and the shared
-//!   [`Outcomes`] accessor (verdicts); the falsifier's parallel `E_B(k)`
-//!   scan keeps its speculative executions in this form and hydrates each
-//!   one only when the sequential walk reaches it.
+//!   into a caller's arena. The falsifier's parallel `E_B(k)` scan keeps
+//!   its speculative executions in this form and hydrates each one only
+//!   when the sequential walk reaches it.
 //! * [`FullTrace`](crate::FullTrace) records the full [`Execution`] in
 //!   place, without an arena; [`CompressedExecution::compress`] turns one
 //!   into handle form after the fact.
+//!
+//! `ba-check` records neither: it fingerprints each execution while it
+//! runs, through [`FingerprintSink`](crate::FingerprintSink), which keeps
+//! no payloads at all and hashes through this module's [`StableHasher`].
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 
-use crate::execution::{Execution, FaultMode, Outcomes, ProcessRecord, RoundFragment};
+use crate::execution::{Execution, FaultMode, ProcessRecord, RoundFragment};
 use crate::ids::{ProcessId, Round};
 use crate::value::{Payload, Value};
 
@@ -116,7 +118,6 @@ pub struct PayloadId(pub u32);
 pub struct PayloadArena<M> {
     items: Vec<M>,
     index: HashMap<M, PayloadId>,
-    hashes: Vec<u64>,
 }
 
 impl<M: Payload> PayloadArena<M> {
@@ -125,7 +126,6 @@ impl<M: Payload> PayloadArena<M> {
         PayloadArena {
             items: Vec::new(),
             index: HashMap::new(),
-            hashes: Vec::new(),
         }
     }
 
@@ -144,23 +144,9 @@ impl<M: Payload> PayloadArena<M> {
             return *id;
         }
         let id = PayloadId(u32::try_from(self.items.len()).expect("more than u32::MAX payloads"));
-        self.hashes.push(stable_hash(&payload));
         self.items.push(payload.clone());
         self.index.insert(payload, id);
         id
-    }
-
-    /// A handle-independent digest of the payload behind `id`: the
-    /// [`stable_hash`] of its *content*. Two arenas that interned the same
-    /// payloads in different orders assign different [`PayloadId`]s but
-    /// identical content hashes, which is what makes
-    /// [`CompressedExecution::fingerprint`] comparable across arenas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this arena.
-    pub fn content_hash(&self, id: PayloadId) -> u64 {
-        self.hashes[id.0 as usize]
     }
 
     /// The payload behind `id`.
@@ -304,55 +290,6 @@ impl<I: Value, O: Value> CompressedExecution<I, O> {
         }
     }
 
-    /// A deterministic 64-bit fingerprint of the execution's observable
-    /// content, independent of *handle* numbering: payload handles are
-    /// replaced by their [`PayloadArena::content_hash`] before hashing, so
-    /// two compressions of equal executions through different arenas (or
-    /// the same arena populated in a different order) fingerprint
-    /// identically. The exhaustive model checker uses this to deduplicate
-    /// the executions reached along different adversary branches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a handle was not produced by `arena`.
-    pub fn fingerprint<M: Payload>(&self, arena: &PayloadArena<M>) -> u64 {
-        let mut hasher = StableHasher::new();
-        let hash_map =
-            |hasher: &mut StableHasher, tag: u8, map: &BTreeMap<ProcessId, PayloadId>| {
-                hasher.write_u8(tag);
-                hasher.write_usize(map.len());
-                for (process, id) in map {
-                    hasher.write_usize(process.0);
-                    hasher.write_u64(arena.content_hash(*id));
-                }
-            };
-        hasher.write_usize(self.n);
-        hasher.write_usize(self.t);
-        hasher.write_u8(match self.mode {
-            FaultMode::Omission => 0,
-            FaultMode::Byzantine => 1,
-            FaultMode::Mixed => 2,
-        });
-        hasher.write_usize(self.faulty.len());
-        for process in &self.faulty {
-            hasher.write_usize(process.0);
-        }
-        hasher.write_u64(self.rounds);
-        hasher.write_u8(u8::from(self.quiescent));
-        for record in &self.records {
-            record.proposal.hash(&mut hasher);
-            record.decision.hash(&mut hasher);
-            hasher.write_usize(record.fragments.len());
-            for fragment in &record.fragments {
-                hash_map(&mut hasher, 0, &fragment.sent);
-                hash_map(&mut hasher, 1, &fragment.send_omitted);
-                hash_map(&mut hasher, 2, &fragment.received);
-                hash_map(&mut hasher, 3, &fragment.receive_omitted);
-            }
-        }
-        hasher.finish()
-    }
-
     /// Total number of fragment slots (payload references) in this
     /// execution — the count that would have been owned clones without the
     /// arena.
@@ -364,27 +301,6 @@ impl<I: Value, O: Value> CompressedExecution<I, O> {
                 f.sent.len() + f.send_omitted.len() + f.received.len() + f.receive_omitted.len()
             })
             .sum()
-    }
-}
-
-impl<I: Value, O: Value> Outcomes for CompressedExecution<I, O> {
-    type Input = I;
-    type Output = O;
-
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn faulty(&self) -> &BTreeSet<ProcessId> {
-        &self.faulty
-    }
-
-    fn proposal(&self, pid: ProcessId) -> &I {
-        &self.records[pid.index()].proposal
-    }
-
-    fn decision_of(&self, pid: ProcessId) -> Option<&O> {
-        self.records[pid.index()].decision.as_ref().map(|(v, _)| v)
     }
 }
 
@@ -485,34 +401,6 @@ mod tests {
         assert_eq!(a.finish(), b.finish());
         assert_eq!(stable_hash(&Bit::Zero), stable_hash(&Bit::Zero));
         assert_ne!(stable_hash(&Bit::Zero), stable_hash(&Bit::One));
-    }
-
-    #[test]
-    fn fingerprints_ignore_handle_numbering() {
-        let exec = sample(5);
-        // Arena A sees the execution's payloads in natural order; arena B
-        // is pre-seeded so every handle is shifted.
-        let mut plain = PayloadArena::new();
-        let mut shifted = PayloadArena::new();
-        // Natural compression order interns One first (process 0's proposal),
-        // so seeding Zero first guarantees every handle is renumbered.
-        shifted.intern(&Bit::Zero);
-        shifted.intern(&Bit::One);
-        let via_plain = CompressedExecution::compress(&exec, &mut plain);
-        let via_shifted = CompressedExecution::compress(&exec, &mut shifted);
-        assert_ne!(via_plain.records, via_shifted.records);
-        assert_eq!(
-            via_plain.fingerprint(&plain),
-            via_shifted.fingerprint(&shifted)
-        );
-    }
-
-    #[test]
-    fn fingerprints_separate_distinct_executions() {
-        let mut arena = PayloadArena::new();
-        let a = CompressedExecution::compress(&sample(4), &mut arena);
-        let b = CompressedExecution::compress(&sample(5), &mut arena);
-        assert_ne!(a.fingerprint(&arena), b.fingerprint(&arena));
     }
 
     #[test]

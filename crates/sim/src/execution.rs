@@ -181,10 +181,10 @@ pub struct Execution<I, O, M> {
 /// Who was faulty, what each process proposed and what it decided: the
 /// part of a recorded execution an agreement verdict reads.
 ///
-/// Both recorded forms implement it — the full [`Execution`] and the
-/// arena-backed [`CompressedExecution`](crate::CompressedExecution) — so a
-/// verdict over decisions is written once and reads either form as
-/// recorded, without hydrating or compressing it first.
+/// Both forms a verdict is taken from implement it — the full
+/// [`Execution`] and the [`Fingerprinted`](crate::Fingerprinted) run
+/// `ba-check` records — so a verdict over decisions is written once and
+/// reads either form as recorded.
 pub trait Outcomes {
     /// The proposal domain.
     type Input: Value;

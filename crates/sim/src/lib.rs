@@ -172,7 +172,10 @@ pub use scenario::{
     Adversary, BoxedBehavior, BoxedFaultModel, BoxedPlan, ProtocolScenario, Scenario,
     ScenarioResult,
 };
-pub use sink::{CompressedTrace, FullTrace, RunSummary, StatsSink, TraceMode, TraceSink};
+pub use sink::{
+    CompressedTrace, FingerprintSink, Fingerprinted, FullTrace, RunSummary, StatsSink, TraceMode,
+    TraceSink,
+};
 pub use trace::{
     first_inbox_divergence, payload_reuse, render_divergence, render_execution, round_stats,
     RoundStats,

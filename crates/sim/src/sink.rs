@@ -12,10 +12,14 @@
 //!   are shared with every receiver of the round);
 //! * [`CompressedTrace`] records the same trace into a caller's
 //!   [`PayloadArena`] as a [`CompressedExecution`] of `u32` handles — the
-//!   form `ba-check` fingerprints and the falsifier's parallel scan keeps
-//!   resident; it interns by reference, cloning a payload only on its first
-//!   appearance, and hydrating it through the arena equals the
-//!   [`FullTrace`] execution bit for bit;
+//!   form the falsifier's parallel scan keeps resident; it interns by
+//!   reference, cloning a payload only on its first appearance, and
+//!   hydrating it through the arena equals the [`FullTrace`] execution bit
+//!   for bit;
+//! * [`FingerprintSink`] hashes the trace while the run goes, keeping one
+//!   fixed-size record per routing event and no payload: its
+//!   [`Fingerprinted`] output is the 64-bit state identity `ba-check`
+//!   deduplicates by, plus the outcomes its verdict reads;
 //! * [`StatsSink`] accumulates a [`ScenarioStats`] report with **zero
 //!   payload clones and no fragment allocation** — the fast path for
 //!   campaign sweeps that only consume aggregate statistics.
@@ -27,14 +31,18 @@
 //! [`ProtocolScenario::run_with_sink`](crate::ProtocolScenario::run_with_sink).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
 
-use crate::arena::{CompressedExecution, CompressedFragment, CompressedRecord, PayloadArena};
+use crate::arena::{
+    stable_hash, CompressedExecution, CompressedFragment, CompressedRecord, PayloadArena,
+    StableHasher,
+};
 use crate::campaign::ScenarioStats;
-use crate::execution::{Execution, FaultMode, ProcessRecord, RoundFragment};
+use crate::execution::{Execution, FaultMode, Outcomes, ProcessRecord, RoundFragment};
 use crate::ids::{ProcessId, Round};
 use crate::mailbox::Inbox;
 use crate::protocol::Protocol;
-use crate::value::Payload;
+use crate::value::{Payload, Value};
 
 /// Which built-in [`TraceSink`] stats-producing entry points drive.
 ///
@@ -299,13 +307,12 @@ impl<P: Protocol> TraceSink<P> for FullTrace<P> {
 /// but interns every payload into a caller's [`PayloadArena`] and produces
 /// a [`CompressedExecution`] of dense [`PayloadId`](crate::PayloadId)
 /// handles. An all-to-all round then costs one stored payload per
-/// *distinct* message instead of one clone per fragment slot, and the
-/// result fingerprints without a second pass.
+/// *distinct* message instead of one clone per fragment slot.
 ///
-/// Readers that keep many executions resident or only fingerprint them use
-/// it: `ba-check`'s explorer and the falsifier's parallel critical-round
-/// scan. [`CompressedExecution::hydrate`] through the same arena yields
-/// exactly what [`FullTrace`] records for the run.
+/// The falsifier's parallel critical-round scan uses it to keep many
+/// speculative executions resident.
+/// [`CompressedExecution::hydrate`] through the same arena yields exactly
+/// what [`FullTrace`] records for the run.
 pub struct CompressedTrace<'a, P: Protocol> {
     arena: &'a mut PayloadArena<P::Msg>,
     records: Vec<CompressedRecord<P::Input, P::Output>>,
@@ -400,6 +407,214 @@ impl<P: Protocol> TraceSink<P> for CompressedTrace<'_, P> {
             rounds: summary.rounds,
             quiescent: summary.quiescent,
         }
+    }
+}
+
+/// The fingerprinting sink: hashes the run's trace while the engine runs
+/// it, with no fragments, no arena and no payload clones.
+///
+/// Each routing event appends one fixed-size record — round, sender,
+/// receiver, kind (sent, send-omitted or receive-omitted) and the
+/// [`stable_hash`] of the payload. Delivered edges need no record of their
+/// own: a received message is exactly a sent one its receiver did not
+/// receive-omit, so [`absorb_inbox`](TraceSink::absorb_inbox) only clears
+/// the inbox. [`finish`](TraceSink::finish) sorts the records into
+/// `(round, sender, receiver, kind)` order and hashes them through a
+/// [`StableHasher`] together with `n`, `t`, the fault mode, the faulty set,
+/// the rounds run, quiescence, and each process's proposal and decision
+/// (with its round).
+///
+/// Sorting makes the fingerprint independent of the order the engine
+/// emits events in, so executions that differ only in within-round
+/// delivery order collapse to one fingerprint. Two runs fingerprint alike
+/// exactly when their [`FullTrace`] executions are equal (up to 64-bit
+/// hash collisions): that is the state identity `ba-check` deduplicates
+/// by.
+pub struct FingerprintSink<P: Protocol> {
+    proposals: Vec<P::Input>,
+    events: Vec<RoutedEvent>,
+}
+
+/// One routing event as [`FingerprintSink`] keeps it. The derived order
+/// is the `(round, sender, receiver, kind)` order the fingerprint hashes
+/// in; that key is unique per event, so the payload hash never decides it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RoutedEvent {
+    round: Round,
+    sender: ProcessId,
+    receiver: ProcessId,
+    kind: EventKind,
+    payload: u64,
+}
+
+/// What happened to a routed message. A receive-omitted message is also
+/// recorded as sent, as the engine reports it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EventKind {
+    Sent = 0,
+    SendOmitted = 1,
+    ReceiveOmitted = 2,
+}
+
+impl<P: Protocol> FingerprintSink<P> {
+    /// An empty fingerprinting sink.
+    pub fn new() -> Self {
+        FingerprintSink {
+            proposals: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    fn record(
+        &mut self,
+        round: Round,
+        sender: ProcessId,
+        receiver: ProcessId,
+        kind: EventKind,
+        payload: &P::Msg,
+    ) {
+        self.events.push(RoutedEvent {
+            round,
+            sender,
+            receiver,
+            kind,
+            payload: stable_hash(payload),
+        });
+    }
+}
+
+impl<P: Protocol> Default for FingerprintSink<P> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<P: Protocol> TraceSink<P> for FingerprintSink<P> {
+    type Output = Fingerprinted<P::Input, P::Output>;
+
+    fn init(&mut self, n: usize, proposals: &[P::Input]) {
+        self.proposals = proposals.to_vec();
+        // One all-to-all round's worth up front; longer runs grow it.
+        self.events.reserve(n * n);
+    }
+
+    fn begin_round(&mut self, _round: Round) {}
+
+    fn sent(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &P::Msg) {
+        self.record(round, sender, receiver, EventKind::Sent, payload);
+    }
+
+    fn send_omitted(
+        &mut self,
+        round: Round,
+        sender: ProcessId,
+        receiver: ProcessId,
+        payload: P::Msg,
+    ) {
+        self.record(round, sender, receiver, EventKind::SendOmitted, &payload);
+    }
+
+    fn receive_omitted(
+        &mut self,
+        round: Round,
+        sender: ProcessId,
+        receiver: ProcessId,
+        payload: P::Msg,
+    ) {
+        self.record(round, sender, receiver, EventKind::ReceiveOmitted, &payload);
+    }
+
+    fn absorb_inbox(&mut self, _round: Round, _receiver: ProcessId, inbox: &mut Inbox<P::Msg>) {
+        inbox.clear();
+    }
+
+    fn finish(mut self, summary: RunSummary<P>) -> Self::Output {
+        // Already in order on the engine's fast path, which the sort
+        // detects in one pass; rescheduled rounds arrive permuted.
+        self.events.sort_unstable();
+        let mut hasher = StableHasher::new();
+        hasher.write_usize(summary.n);
+        hasher.write_usize(summary.t);
+        hasher.write_u8(match summary.mode {
+            FaultMode::Omission => 0,
+            FaultMode::Byzantine => 1,
+            FaultMode::Mixed => 2,
+        });
+        hasher.write_usize(summary.faulty.len());
+        for process in &summary.faulty {
+            hasher.write_usize(process.0);
+        }
+        hasher.write_u64(summary.rounds);
+        hasher.write_u8(u8::from(summary.quiescent));
+        for (proposal, decision) in self.proposals.iter().zip(&summary.decisions) {
+            proposal.hash(&mut hasher);
+            decision.hash(&mut hasher);
+        }
+        // FNV costs a multiply per byte, so the ids go in as varints: one
+        // byte each below 128, and still prefix-free above.
+        hasher.write_usize(self.events.len());
+        for event in &self.events {
+            write_varint(&mut hasher, event.round.0);
+            write_varint(&mut hasher, event.sender.0 as u64);
+            write_varint(&mut hasher, event.receiver.0 as u64);
+            hasher.write_u8(event.kind as u8);
+            hasher.write_u64(event.payload);
+        }
+        Fingerprinted {
+            fingerprint: hasher.finish(),
+            n: summary.n,
+            faulty: summary.faulty,
+            proposals: self.proposals,
+            decisions: summary.decisions,
+        }
+    }
+}
+
+/// Hashes `value` as an unsigned LEB128 varint: seven bits per byte, the
+/// high bit set on every byte but the last.
+fn write_varint(hasher: &mut StableHasher, mut value: u64) {
+    while value >= 0x80 {
+        hasher.write_u8(value as u8 | 0x80);
+        value >>= 7;
+    }
+    hasher.write_u8(value as u8);
+}
+
+/// What a [`FingerprintSink`] run produces: the execution's fingerprint
+/// and the outcomes a verdict reads, through [`Outcomes`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Fingerprinted<I, O> {
+    /// The 64-bit state identity of the execution (see [`FingerprintSink`]).
+    pub fingerprint: u64,
+    /// Number of processes `n`.
+    pub n: usize,
+    /// The corrupted processes.
+    pub faulty: BTreeSet<ProcessId>,
+    /// Per-process proposal, indexed by process id.
+    pub proposals: Vec<I>,
+    /// Per-process decision and the round at the start of which it first
+    /// appeared, indexed by process id.
+    pub decisions: Vec<Option<(O, Round)>>,
+}
+
+impl<I: Value, O: Value> Outcomes for Fingerprinted<I, O> {
+    type Input = I;
+    type Output = O;
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn faulty(&self) -> &BTreeSet<ProcessId> {
+        &self.faulty
+    }
+
+    fn proposal(&self, pid: ProcessId) -> &I {
+        &self.proposals[pid.index()]
+    }
+
+    fn decision_of(&self, pid: ProcessId) -> Option<&O> {
+        self.decisions[pid.index()].as_ref().map(|(v, _)| v)
     }
 }
 

@@ -1,13 +1,17 @@
-//! Allocation-count gate for the stats-mode sweep path.
+//! Allocation-count gates for the stats-mode sweep path and the
+//! exhaustive model checker.
 //!
 //! The broadcast representation plus [`StatsSink`](ba_sim::TraceMode::Stats)
 //! exist so a campaign point costs O(n · rounds) allocator traffic (outboxes
 //! and process state), not O(n² · rounds) (a clone or fragment-map node per
-//! edge). This binary installs a counting [`GlobalAlloc`] wrapper — it lives
-//! here because `ba-sim` itself forbids unsafe code — and pins the
-//! allocations-per-point budget of a phase-king stats sweep, so an
-//! accidental return to per-edge allocation fails loudly instead of only
-//! showing up as bench noise.
+//! edge). Likewise [`FingerprintSink`](ba_sim::FingerprintSink) exists so an
+//! explored `ba-check` execution costs its run's set-up and one event
+//! buffer, not a recorded trace. This binary installs a counting
+//! [`GlobalAlloc`] wrapper — it lives here because `ba-sim` itself forbids
+//! unsafe code — and pins the allocations-per-point budget of a phase-king
+//! stats sweep and the allocations-per-execution budget of a model check,
+//! so an accidental return to per-edge allocation or to recorded traces
+//! fails loudly instead of only showing up as bench noise.
 //!
 //! Kept to a single `#[test]` so parallel test threads cannot pollute the
 //! counter.
@@ -15,7 +19,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ba_sim::Campaign;
+use ba_check::{check, CheckSpec};
+use ba_protocols::broken::ParanoidEcho;
+use ba_sim::{Bit, Campaign, ExecutorConfig};
 
 /// Counts every `alloc`/`realloc` call and delegates to [`System`].
 struct CountingAlloc;
@@ -52,6 +58,11 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
 
 #[test]
 fn stats_sweep_allocations_stay_linear_per_point() {
+    stats_sweep_allocations();
+    model_check_allocations();
+}
+
+fn stats_sweep_allocations() {
     let grid = |nts: &[(usize, usize)]| {
         Campaign::grid(nts.iter().copied(), &["none", "isolation"], &["ones"])
             .points()
@@ -95,5 +106,37 @@ fn stats_sweep_allocations_stay_linear_per_point() {
         "stats path allocates {per_point} times per point — tracking the \
          per-edge count ({per_point_edges}); the broadcast fan-out must not \
          allocate per receiver"
+    );
+}
+
+fn model_check_allocations() {
+    // One of the benchmark's model-check spaces: paranoid-echo at n = 4,
+    // t = 1, both omission directions over two fault rounds, corruption up
+    // to t — 16,385 explored executions, plus the shrink of the violation.
+    let explore = |rounds: u64| {
+        let spec = CheckSpec::new(ExecutorConfig::new(4, 1), rounds);
+        check(&spec, |_| ParanoidEcho::new(), &[Bit::Zero; 4], 1)
+            .expect("check runs")
+            .report()
+            .executions
+    };
+
+    // Warm-up on a smaller space of the same shape.
+    explore(1);
+
+    let mut executions = 0;
+    let allocs = allocations_during(|| executions = explore(2));
+    assert_eq!(executions, 16_385);
+    let per_execution = allocs as f64 / executions as f64;
+
+    println!("model check: {allocs} allocations over {executions} executions, {per_execution:.1} per execution");
+
+    // Measured: 36.9 per execution. An explorer that recorded each
+    // execution into a payload arena before fingerprinting it made 57.9;
+    // the budget sits between the two.
+    assert!(
+        per_execution < 48.0,
+        "the model checker allocates {per_execution:.1} times per explored execution \
+         (budget 48)"
     );
 }

@@ -320,3 +320,32 @@ fn oversized_spaces_are_refused_not_truncated() {
     let err = run_manifest(&manifest).expect_err("space must be refused");
     assert!(err.contains("corruption space"), "{err}");
 }
+
+#[test]
+fn benchmark_spaces_keep_their_exact_counts() {
+    // Two of the `model-check` benchmark's spaces: all-zero proposals,
+    // both omission directions, corruption up to t. Every execution here
+    // is its own state, so a fingerprint that merges distinct executions
+    // shows as fewer states, and a change to the enumeration as a changed
+    // execution count or tape.
+    let cases = [
+        ("one-round-all-to-all", (5, 1), 1, 1_281, vec![1, 1]),
+        (
+            "paranoid-echo",
+            (4, 1),
+            2,
+            16_385,
+            vec![1, 0, 0, 0, 0, 0, 0, 1],
+        ),
+    ];
+    for (protocol, (n, t), rounds, count, tape) in cases {
+        let point = CampaignPoint::new(n, t)
+            .with_adversary(CheckLabel::new(rounds).render())
+            .with_inputs("zeros");
+        let sweep = registry_check(&point, protocol, 0, 0, None).expect("check runs");
+        assert!(sweep.refuted && sweep.complete, "{protocol}: {sweep:?}");
+        assert_eq!(sweep.states(), count, "{protocol}: states");
+        assert_eq!(sweep.executions, count, "{protocol}: executions");
+        assert_eq!(sweep.choices, tape, "{protocol}: shrunk tape");
+    }
+}

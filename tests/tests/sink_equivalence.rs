@@ -8,9 +8,15 @@
 //! (`TraceMode::Stats`) without changing a single reported number.
 //!
 //! Over the same grid, the in-place [`FullTrace`] execution must equal the
-//! arena-recorded [`CompressedTrace`] one hydrated through its arena, with
-//! equal fingerprints — which pins `ba-check`'s state counts (it
-//! fingerprints the compressed form) to the full traces bit for bit.
+//! arena-recorded [`CompressedTrace`] one hydrated through its arena. And
+//! the [`FingerprintSink`] run must report the full execution's outcomes,
+//! with fingerprints that are equal exactly when the full traces are,
+//! among all runs of one `(n, t)` cell — which pins `ba-check`'s state
+//! counts (it deduplicates by that fingerprint) to the full traces.
+
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeSet;
 
 use ba_crypto::Keybook;
 use ba_protocols::broken::{
@@ -18,9 +24,9 @@ use ba_protocols::broken::{
 };
 use ba_protocols::{DolevStrong, EigConsensus, FloodSet, PhaseKing};
 use ba_sim::{
-    Adversary, Bit, Campaign, CompressedTrace, Payload, PayloadArena, ProcessId, Protocol,
-    ProtocolScenario, RandomOmissionPlan, Round, Scenario, ScenarioStats, SilentByzantine, SimRng,
-    TraceMode,
+    Adversary, Bit, Campaign, CompressedTrace, Execution, FingerprintSink, Outcomes, Payload,
+    PayloadArena, ProcessId, Protocol, ProtocolScenario, RandomOmissionPlan, Round, Scenario,
+    ScenarioStats, SilentByzantine, SimRng, TraceMode,
 };
 
 /// Adversary flavors under test. `mixed` corrupts two processes, so it only
@@ -133,7 +139,7 @@ impl ScenarioCheck for StatsMatchFullTrace {
 }
 
 /// Runs one scenario through `FullTrace` and `CompressedTrace` and asserts
-/// the hydrated compressed run equals the full one, with one fingerprint.
+/// the hydrated compressed run equals the full one.
 struct FullTraceMatchesArena;
 
 impl ScenarioCheck for FullTraceMatchesArena {
@@ -162,12 +168,110 @@ impl ScenarioCheck for FullTraceMatchesArena {
             compressed.hydrate(&arena),
             "{context}: FullTrace diverged from the hydrated CompressedTrace"
         );
-        let mut own = PayloadArena::new();
+    }
+}
+
+/// What a verdict reads from a run, through [`Outcomes`]: `n`, the faulty
+/// and correct sets, and every proposal and decided value.
+type OutcomeView = (
+    usize,
+    BTreeSet<ProcessId>,
+    Vec<ProcessId>,
+    Vec<Bit>,
+    Vec<Option<Bit>>,
+);
+
+fn outcome_view(run: &impl Outcomes<Input = Bit, Output = Bit>) -> OutcomeView {
+    let pids = ProcessId::all(run.n());
+    (
+        run.n(),
+        run.faulty().clone(),
+        run.correct().collect(),
+        pids.clone().map(|p| *run.proposal(p)).collect(),
+        pids.map(|p| run.decision_of(p).copied()).collect(),
+    )
+}
+
+/// Runs one scenario through `FullTrace` and `FingerprintSink`. The
+/// fingerprinted run must report the full execution's outcomes (decision
+/// rounds included). Against every earlier run of the same `(n, t)` cell
+/// whose trace has the same payload type, equal full traces must mean
+/// equal fingerprints and equal fingerprints equal full traces.
+#[derive(Default)]
+struct FingerprintsSeparateFullTraces {
+    cell: RefCell<((usize, usize), Vec<FingerprintedRun>)>,
+    /// Pairs of grid runs with equal full traces: the property's
+    /// "equal traces" side is vacuous unless some exist.
+    equal_pairs: Cell<usize>,
+}
+
+struct FingerprintedRun {
+    context: String,
+    fingerprint: u64,
+    execution: Box<dyn Any>,
+}
+
+impl ScenarioCheck for FingerprintsSeparateFullTraces {
+    fn check<P, F>(&self, context: &str, n: usize, t: usize, factory: F, adv: &str, inp: &str)
+    where
+        P: Protocol<Input = Bit, Output = Bit>,
+        F: Fn(ProcessId) -> P,
+    {
+        let full = scenario(n, t, &factory, adv, inp).run();
+        let fingerprinted =
+            scenario(n, t, &factory, adv, inp).run_with_sink(FingerprintSink::new());
+        let (full, fingerprinted) = match (full, fingerprinted) {
+            (Ok(full), Ok(fingerprinted)) => (full, fingerprinted),
+            (full, fingerprinted) => {
+                assert_eq!(
+                    full.err(),
+                    fingerprinted.err(),
+                    "{context}: the sinks disagree on the run's outcome"
+                );
+                return;
+            }
+        };
         assert_eq!(
-            full.compress(&mut own).fingerprint(&own),
-            compressed.fingerprint(&arena),
-            "{context}: fingerprints differ across the two recorders"
+            outcome_view(&fingerprinted),
+            outcome_view(&full),
+            "{context}: the fingerprinted outcomes diverged from FullTrace"
         );
+        let decisions: Vec<_> = full.records.iter().map(|r| r.decision).collect();
+        assert_eq!(
+            fingerprinted.decisions, decisions,
+            "{context}: decision rounds diverged from FullTrace"
+        );
+
+        let mut cell = self.cell.borrow_mut();
+        let (nt, runs) = &mut *cell;
+        if *nt != (n, t) {
+            *nt = (n, t);
+            runs.clear();
+        }
+        for other in runs.iter() {
+            let Some(trace) = other
+                .execution
+                .downcast_ref::<Execution<Bit, Bit, P::Msg>>()
+            else {
+                continue;
+            };
+            let equal_traces = *trace == full;
+            let equal_fingerprints = other.fingerprint == fingerprinted.fingerprint;
+            assert_eq!(
+                equal_traces, equal_fingerprints,
+                "{context} vs {}: equal full traces {equal_traces}, equal fingerprints \
+                 {equal_fingerprints}",
+                other.context
+            );
+            if equal_traces {
+                self.equal_pairs.set(self.equal_pairs.get() + 1);
+            }
+        }
+        runs.push(FingerprintedRun {
+            context: context.to_string(),
+            fingerprint: fingerprinted.fingerprint,
+            execution: Box::new(full),
+        });
     }
 }
 
@@ -249,6 +353,16 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
 #[test]
 fn full_trace_matches_the_hydrated_compressed_trace() {
     over_grid(&FullTraceMatchesArena);
+}
+
+#[test]
+fn fingerprints_are_equal_exactly_when_full_traces_are() {
+    let property = FingerprintsSeparateFullTraces::default();
+    over_grid(&property);
+    assert!(
+        property.equal_pairs.get() > 0,
+        "no two grid runs shared a full trace, so equal traces went untested"
+    );
 }
 
 /// Scenario errors (not just stats) must be identical across engines.
