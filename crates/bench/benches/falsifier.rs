@@ -5,11 +5,11 @@
 
 use ba_bench::falsifier_sweep;
 use ba_bench::harness::BenchGroup;
-use ba_core::lowerbound::{falsify, probe_weak_consensus, FalsifierConfig};
+use ba_core::lowerbound::{falsify, FalsifierConfig};
 use ba_crypto::Keybook;
 use ba_protocols::broken::{LeaderEcho, OwnProposal, ParanoidEcho};
 use ba_protocols::DolevStrong;
-use ba_sim::{Bit, ExecutorConfig, ProcessId};
+use ba_sim::{Bit, ProcessId};
 
 fn bench_falsify_refutable() {
     let group = BenchGroup::new("falsify_refutable");
@@ -60,24 +60,8 @@ fn bench_campaign_sweep() {
     });
 }
 
-fn bench_prober() {
-    let group = BenchGroup::new("random_prober");
-    let cfg = ExecutorConfig::new(6, 2);
-    let book = Keybook::new(6);
-    group.bench("dolev_strong_n6_t2_50trials", || {
-        probe_weak_consensus(
-            &cfg,
-            DolevStrong::factory(book.clone(), ProcessId(0), Bit::Zero),
-            50,
-            9,
-        )
-        .unwrap()
-    });
-}
-
 fn main() {
     bench_falsify_refutable();
     bench_falsify_survivors();
     bench_campaign_sweep();
-    bench_prober();
 }

@@ -4,9 +4,8 @@
 //! the workspace builds offline).
 
 use ba_bench::harness::{BenchConfig, BenchGroup};
-use ba_core::lowerbound::{
-    exhaustive_omission_check, merge, swap_omission, ExhaustiveConfig, FamilyRunner, Partition,
-};
+use ba_check::{check, CheckSpec};
+use ba_core::lowerbound::{merge, swap_omission, FamilyRunner, Partition};
 use ba_crypto::Keybook;
 use ba_protocols::DolevStrong;
 use ba_sim::{Bit, ExecutorConfig, ProcessId, Round};
@@ -87,7 +86,9 @@ fn bench_swap_and_checks() {
 }
 
 fn bench_exhaustive() {
-    // 2^(2·3·r) adversaries at n = 4: r = 1 → 64, r = 2 → 4096.
+    // Every send and receive omission pattern of p3 over the first r
+    // rounds at n = 4; ba-check branches only where p3 sends or receives,
+    // so r = 2 is 36 executions.
     let group = BenchGroup::with_config(
         "exhaustive_model_check",
         BenchConfig {
@@ -96,16 +97,15 @@ fn bench_exhaustive() {
         },
     );
     for rounds in [1u64, 2] {
-        let cfg = ExecutorConfig::new(4, 1);
+        let spec =
+            CheckSpec::new(ExecutorConfig::new(4, 1), rounds).static_corruption([ProcessId(3)]);
         let book = Keybook::new(4);
-        let bounds = ExhaustiveConfig::new(rounds);
         group.bench(&format!("ds_n4_t1_r{rounds}"), || {
-            exhaustive_omission_check(
-                &cfg,
+            check(
+                &spec,
                 DolevStrong::factory(book.clone(), ProcessId(0), Bit::Zero),
                 &[Bit::One; 4],
-                ProcessId(3),
-                &bounds,
+                1,
             )
             .unwrap()
         });

@@ -20,9 +20,9 @@ use std::collections::BTreeSet;
 use std::process::ExitCode;
 
 use ba_bench::{falsifier_sweep, measure_family_complexity};
+use ba_check::{check, CheckSpec};
 use ba_core::lowerbound::{
-    exhaustive_omission_check, falsify, find_critical_round, merge, ExhaustiveConfig,
-    ExhaustiveOutcome, FalsifierConfig, FamilyRunner, Partition, Verdict,
+    falsify, find_critical_round, merge, FalsifierConfig, FamilyRunner, Partition, Verdict,
 };
 use ba_core::reduction::{derive_reduction_inputs, ReductionInputs, WeakFromAgreement};
 use ba_core::solvability::solvability;
@@ -819,97 +819,69 @@ fn exhaustive() {
         "EXP-EX",
         "Exhaustive model check: every 1-process omission adversary (n = 4, t = 1)",
     );
-    let cfg = ExecutorConfig::new(4, 1);
     println!(
         "{:<24} {:>12} {:>14} {:>22}",
-        "protocol", "adversaries", "outcome", "minimal violation"
+        "protocol", "executions", "outcome", "minimal violation"
     );
     println!("{}", "-".repeat(76));
 
-    fn row<P, F>(
-        label: &str,
-        cfg: &ExecutorConfig,
-        bounds: &ExhaustiveConfig,
-        corrupted: ProcessId,
-        factory: F,
-    ) where
+    fn row<P, F>(label: &str, corrupted: ProcessId, factory: F)
+    where
         P: Protocol<Input = Bit, Output = Bit>,
-        F: Fn(ProcessId) -> P,
+        F: Fn(ProcessId) -> P + Sync,
     {
-        let outcome =
-            exhaustive_omission_check(cfg, factory, &[Bit::Zero; 4], corrupted, bounds).unwrap();
-        match outcome {
-            ExhaustiveOutcome::Violation(cert, report) => {
-                cert.verify().unwrap();
-                let omissions: usize = cert
-                    .execution
-                    .records
-                    .iter()
-                    .map(|r| r.all_send_omitted().count() + r.all_receive_omitted().count())
-                    .sum();
-                println!(
-                    "{:<24} {:>12} {:>14} {:>22}",
-                    label,
-                    report.adversaries,
-                    "VIOLATED",
-                    format!("{omissions} omission(s)")
-                );
+        let spec = CheckSpec::new(ExecutorConfig::new(4, 1), 2).static_corruption([corrupted]);
+        let outcome = check(&spec, factory, &[Bit::Zero; 4], 1).unwrap();
+        let (verdict, minimal) = match outcome.violation() {
+            Some(found) => {
+                found.certificate.verify().unwrap();
+                // With the corruption fixed, every non-default choice is an
+                // omission.
+                let omissions = found.choices.iter().filter(|&&c| c != 0).count();
+                ("VIOLATED", format!("{omissions} omission(s)"))
             }
-            ExhaustiveOutcome::Robust(report) => {
-                println!(
-                    "{:<24} {:>12} {:>14} {:>22}",
-                    label, report.adversaries, "ROBUST", "-"
-                );
+            None => {
+                assert!(outcome.is_proof(), "{label}: space not exhausted");
+                ("ROBUST", "-".into())
             }
-        }
+        };
+        println!(
+            "{:<24} {:>12} {:>14} {:>22}",
+            label,
+            outcome.report().executions,
+            verdict,
+            minimal
+        );
     }
 
-    let two_rounds = ExhaustiveConfig::new(2);
-    row(
-        "one-round-all-to-all",
-        &cfg,
-        &two_rounds,
-        ProcessId(3),
-        |_| OneRoundAllToAll::new(),
-    );
-    row("paranoid-echo", &cfg, &two_rounds, ProcessId(3), |_| {
-        ParanoidEcho::new()
+    row("one-round-all-to-all", ProcessId(3), |_| {
+        OneRoundAllToAll::new()
     });
+    row("paranoid-echo", ProcessId(3), |_| ParanoidEcho::new());
     // Corrupting a follower cannot hurt the star topology…
-    row(
-        "leader-echo (follower)",
-        &cfg,
-        &two_rounds,
-        ProcessId(3),
-        |_: ProcessId| LeaderEcho::new(ProcessId(0)),
-    );
+    row("leader-echo (follower)", ProcessId(3), |_: ProcessId| {
+        LeaderEcho::new(ProcessId(0))
+    });
     // …corrupting the leader splits it with one omission.
-    row(
-        "leader-echo (leader)",
-        &cfg,
-        &two_rounds,
-        ProcessId(0),
-        |_: ProcessId| LeaderEcho::new(ProcessId(0)),
-    );
+    row("leader-echo (leader)", ProcessId(0), |_: ProcessId| {
+        LeaderEcho::new(ProcessId(0))
+    });
     let book = Keybook::new(4);
     row(
         "dolev-strong (correct)",
-        &cfg,
-        &two_rounds,
         ProcessId(3),
         DolevStrong::factory(book.clone(), ProcessId(0), Bit::Zero),
     );
     row(
         "dolev-strong (sender)",
-        &cfg,
-        &two_rounds,
         ProcessId(0),
         DolevStrong::factory(book, ProcessId(0), Bit::Zero),
     );
 
     println!();
-    println!("ROBUST here is a proof by enumeration: across every one of the listed");
-    println!("adversaries (all send/receive omission patterns of p3 over the first");
-    println!("two rounds), no violation exists. VIOLATED rows report the smallest");
-    println!("adversary found (masks enumerated in increasing omission count).");
+    println!("ROBUST here is a proof by enumeration: across every listed execution");
+    println!("(each send/receive omission pattern of the corrupted process over the");
+    println!("first two rounds, branching only where it sends or receives), no");
+    println!("violation exists. VIOLATED rows report the smallest adversary found");
+    println!("(fewest omissions first, then the earliest).");
 }

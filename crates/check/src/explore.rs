@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Mutex;
 
 use ba_core::lowerbound::{weak_consensus_violation, Certificate, ViolationKind};
-use ba_sim::{par_map, Adversary, Bit, FingerprintSink, Outcomes, ProcessId, Protocol, Scenario};
+use ba_sim::{par_map, Adversary, Bit, FingerprintSink, ProcessId, Protocol, Scenario};
 
 use crate::tape::{PointRec, TapeModel};
 use crate::{
@@ -140,7 +140,8 @@ impl ProgressSink<'_> {
 }
 
 /// Runs one tape: interprets it through a [`TapeModel`], fingerprinting
-/// the execution while it runs, then classifies its outcomes.
+/// the execution while it runs, then classifies its outcomes with
+/// [`weak_consensus_violation`].
 fn run_leaf<P, F>(
     spec: &CheckSpec<P::Msg>,
     subsets: &[BTreeSet<ProcessId>],
@@ -158,44 +159,13 @@ where
         .inputs(proposals.iter().cloned())
         .adversary(Adversary::model(&mut model))
         .run_with_sink(FingerprintSink::new())?;
+    let (points, corrupted) = model.into_parts();
     Ok(Leaf {
-        points: model.points().to_vec(),
-        corrupted: model.corrupted().clone(),
+        points,
+        corrupted,
         fingerprint: run.fingerprint,
-        violation: classify(&run),
+        violation: weak_consensus_violation(&run),
     })
-}
-
-/// Full weak-consensus verdict of one execution, full or fingerprinted: the
-/// shared Termination/Agreement scan, plus Weak Validity on fully correct
-/// uniform-proposal executions (the only ones it constrains).
-fn classify<E>(execution: &E) -> Option<ViolationKind>
-where
-    E: Outcomes<Input = Bit, Output = Bit>,
-{
-    if let Some(kind) = weak_consensus_violation(execution) {
-        return Some(kind);
-    }
-    if !execution.faulty().is_empty() {
-        return None;
-    }
-    let mut proposals = ProcessId::all(execution.n()).map(|p| *execution.proposal(p));
-    let proposed = proposals.next()?;
-    if proposals.any(|v| v != proposed) {
-        return None;
-    }
-    for process in execution.correct() {
-        if let Some(decided) = execution.decision_of(process) {
-            if *decided != proposed {
-                return Some(ViolationKind::WeakValidity {
-                    process,
-                    proposed,
-                    decided: *decided,
-                });
-            }
-        }
-    }
-    None
 }
 
 /// The children of a node: every non-default alternative at every
@@ -249,15 +219,15 @@ where
         .inputs(proposals.iter().cloned())
         .adversary(Adversary::model(&mut model))
         .run()?;
-    let violation = classify(&execution);
-    let points = model.points().to_vec();
+    let violation = weak_consensus_violation(&execution);
+    let (points, corrupted) = model.into_parts();
     let mut canonical: Vec<u32> = points.iter().map(|p| p.choice).collect();
     while canonical.last() == Some(&0) {
         canonical.pop();
     }
     let replay = Replay {
         execution,
-        corrupted: model.corrupted().clone(),
+        corrupted,
         choices: canonical,
         violation,
     };

@@ -1,13 +1,14 @@
 //! # ba-check — exhaustive adversary-space model checking
 //!
 //! The paper's lower bounds quantify over *all* adversaries; the falsifier
-//! follows one proof path and the prober samples. This crate closes the
-//! remaining gap for **small `(n, t)` instances** by enumeration: it
-//! branches over every decision point of the trait-based fault layer —
-//! which corruption set to charge, each in-horizon message's fate
-//! (deliver / send-omit / receive-omit / forge), and optionally the
+//! follows one proof path and `ba-search` climbs toward violations. This
+//! crate closes the remaining gap for **small `(n, t)` instances** by
+//! enumeration: it branches over every decision point of the trait-based
+//! fault layer — which corruption set to charge, each in-horizon message's
+//! fate (deliver / send-omit / receive-omit / forge), and optionally the
 //! within-round delivery order — and runs the protocol on every branch,
-//! checking Termination, Agreement, and Weak Validity.
+//! checking Termination, Agreement, and Weak Validity with
+//! [`weak_consensus_violation`](ba_core::lowerbound::weak_consensus_violation).
 //!
 //! The exploration is a lazy decision tree. A branch is a **choice tape**
 //! (digits, one per decision point, `0` = "no fault"); running a tape
@@ -37,11 +38,11 @@
 //!   exhausted).
 //!
 //! Minimality is measured by [`ViolationKey`]: fewest non-default choices
-//! first, then positionally by stable decision-point rank. On the
-//! single-corruption omission subspace this ordering coincides with the
-//! legacy `exhaustive_omission_check` popcount-then-mask order, so the two
-//! checkers return identical minimal certificates there — a property the
-//! differential test suite pins for every protocol in `ba-protocols`.
+//! first, then positionally by stable decision-point rank. On a
+//! single-corruption omission space that means the fewest omissions, then
+//! the lowest-ranked ones (sends of a round before its receives, rounds
+//! major). `tests/model_check.rs` pins the verdicts and minimal
+//! certificates of every protocol in `ba-protocols` as a golden table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,8 +81,8 @@ pub enum CorruptionSpace {
 /// The instance and adversary space of one exhaustive check.
 ///
 /// Embeds the exact [`ExecutorConfig`] the scenarios run under, so a
-/// check explores precisely the executions other tools (falsifier, legacy
-/// exhaustive checker) would construct for the same configuration.
+/// certificate's execution is the one `Scenario::config` runs for that
+/// configuration under the same faults.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CheckSpec<M> {
     /// Executor configuration (n, t, horizon, quiescence).
@@ -89,7 +90,7 @@ pub struct CheckSpec<M> {
     /// The corruption sets to branch over.
     pub corruption: CorruptionSpace,
     /// Rounds in which the adversary may act (later rounds always deliver
-    /// in natural order) — the fault horizon, as in the legacy checker.
+    /// in natural order) — the fault horizon.
     pub rounds: u64,
     /// Branch over send-omissions of corrupted senders.
     pub send_omissions: bool,
@@ -290,12 +291,13 @@ impl From<SimError> for CheckError {
 /// Total order of violating adversary branches: fewest non-default
 /// choices first ([`weight`](ViolationKey::weight)), then positionally by
 /// decision-point rank. The derived lexicographic order over the
-/// rank-descending digit list makes "smaller key" mean "numerically
-/// smaller adversary mask" on the legacy checker's subspace, so the two
-/// checkers agree on which violation is *the* minimal one.
+/// rank-descending digit list makes "smaller key" mean "smaller number"
+/// when every binary decision point is read as the bit at its rank: among
+/// branches with equally many faults, the one whose highest-ranked fault
+/// ranks lowest is *the* minimal one.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub struct ViolationKey {
-    /// Number of non-default choices (the legacy mask's popcount).
+    /// Number of non-default choices (faults, on an omission-only space).
     pub weight: usize,
     /// The non-default `(rank, choice)` digits, sorted rank-descending.
     pub digits: Vec<(u64, u32)>,

@@ -21,9 +21,10 @@
 //! points, the round for schedule points, and `u64::MAX` for the
 //! corruption point. Ranks exist so minimality between two adversary
 //! branches can be compared positionally even when the branches encounter
-//! their points in different orders — and so the minimal branch matches
-//! the legacy `exhaustive_omission_check` bit order on the shared
-//! single-corruption omission subspace.
+//! their points in different orders. On a single-corruption omission space
+//! the ranks ascend with the round, then sends before receives, then the
+//! peer, so among branches with equally many omissions the minimal one is
+//! the one whose latest omission comes earliest.
 
 use std::collections::BTreeSet;
 
@@ -106,6 +107,12 @@ impl<'a, M: Payload> TapeModel<'a, M> {
     /// The corruption set this branch charges.
     pub fn corrupted(&self) -> &BTreeSet<ProcessId> {
         &self.corrupted
+    }
+
+    /// Consumes the model after its run, handing over the recorded decision
+    /// points and the corruption set without copying either.
+    pub fn into_parts(self) -> (Vec<PointRec>, BTreeSet<ProcessId>) {
+        (self.points, self.corrupted)
     }
 
     /// Consumes the next tape digit as a decision point of the given
@@ -208,10 +215,9 @@ impl<M: Payload> FaultModel<M> for TapeModel<'_, M> {
         }
 
         // The edge's rank kind is derived from its option set so that on
-        // the single-corruption omission subspace (where every point is
-        // send-only or receive-only) ranks ascend exactly like the legacy
-        // checker's bit positions: sends of a round before its receives,
-        // rounds major.
+        // a single-corruption omission space (where every point is
+        // send-only or receive-only) ranks ascend in one fixed layout:
+        // sends of a round before its receives, rounds major.
         let n = view.n as u64;
         let base = (view.round.0 - 1) * Self::per_round(view.n);
         let (s, r) = (sender.0 as u64, receiver.0 as u64);

@@ -366,19 +366,19 @@ impl<M: Payload> Certificate<M> {
     }
 }
 
-/// Scans the correct processes of `exec` for a Termination or Agreement
-/// violation, in ascending process order, returning the first one found.
+/// The weak-consensus verdict of one execution: its first Termination,
+/// Agreement or Weak Validity violation, or `None`.
 ///
-/// This is the shared violation classifier of the enumeration checkers
-/// ([`exhaustive_omission_check`](super::exhaustive::exhaustive_omission_check)
-/// and the `ba-check` explorer): an undecided correct process yields
-/// [`ViolationKind::Termination`] (paired with the first decided correct
-/// process, when one exists, for context); two correct processes with
-/// different decisions yield [`ViolationKind::Agreement`]. Weak Validity is
-/// deliberately out of scope — it only applies to fully correct executions
-/// and is checked separately by callers that enumerate those.
+/// The correct processes are scanned in ascending order: an undecided one
+/// yields [`ViolationKind::Termination`] (paired with the first decided
+/// correct process, when one exists, for context), and two with different
+/// decisions yield [`ViolationKind::Agreement`]. Weak Validity is checked
+/// last, and only where it constrains anything: a fully correct execution
+/// with uniform proposals whose (by then unanimous) decision is the other
+/// bit yields [`ViolationKind::WeakValidity`], naming the first process.
 ///
-/// It reads `exec` through [`Outcomes`], so a full [`Execution`] and a
+/// This is the weak-consensus classifier of the `ba-check` explorer. It
+/// reads `exec` through [`Outcomes`], so a full [`Execution`] and a
 /// [`Fingerprinted`](ba_sim::Fingerprinted) run are classified by this one
 /// function, each in the form it was recorded in.
 pub fn weak_consensus_violation<E>(exec: &E) -> Option<ViolationKind>
@@ -404,7 +404,20 @@ where
             },
         }
     }
-    None
+    let (value, process) = decided?;
+    if !exec.faulty().is_empty() {
+        return None;
+    }
+    let mut proposals = ProcessId::all(exec.n()).map(|p| *exec.proposal(p));
+    let proposed = proposals.next()?;
+    if value == proposed || proposals.any(|v| v != proposed) {
+        return None;
+    }
+    Some(ViolationKind::WeakValidity {
+        process,
+        proposed,
+        decided: value,
+    })
 }
 
 /// The falsifier ran the complete argument without finding a violation.
@@ -1453,8 +1466,8 @@ mod tests {
     #[test]
     fn one_round_all_to_all_survives_the_paper_recipe() {
         // n(n-1) messages: the Lemma 2 pigeonhole never applies, exactly as
-        // the theory predicts. (The protocol is still broken — the random
-        // prober finds the violation; see prober tests.)
+        // the theory predicts. (The protocol is still broken: `ba-check`
+        // refutes it with one send omission; see `tests/model_check.rs`.)
         let cfg = FalsifierConfig::new(8, 2);
         let verdict = falsify(&cfg, |_| OneRoundAllToAll::new()).unwrap();
         match verdict {

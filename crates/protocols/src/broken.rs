@@ -235,8 +235,8 @@ impl Protocol for OneRoundAllToAll {
 /// falsifier's critical-round scan (Lemma 4) and merge step end to end. It
 /// is quadratic, so the Lemma 2 pigeonhole (rightly) never fires — yet it
 /// is still *not* a correct weak consensus protocol: a single send-omission
-/// in round 2 splits the correct processes, which the random prober
-/// exhibits.
+/// in round 2 splits the correct processes, which exhaustive model checking
+/// (`ba-check`) exhibits.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ParanoidEcho {
     proposal: Bit,

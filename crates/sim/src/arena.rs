@@ -111,9 +111,10 @@ pub struct PayloadId(pub u32);
 ///
 /// [`intern`](PayloadArena::intern) returns the existing handle for an
 /// already-seen payload (no clone, no growth); a fresh payload is stored
-/// once. Handles are assigned densely in first-appearance order, so the same
-/// event stream always produces the same handles — arena contents are as
-/// deterministic as the executions they come from.
+/// twice, in the item list and as its index key. Handles are assigned
+/// densely in first-appearance order, so the same event stream always
+/// produces the same handles — arena contents are as deterministic as the
+/// executions they come from.
 #[derive(Clone, Debug, Default)]
 pub struct PayloadArena<M> {
     items: Vec<M>,
@@ -130,22 +131,30 @@ impl<M: Payload> PayloadArena<M> {
     }
 
     /// Interns `payload`, returning its handle. Clones the payload only on
-    /// first appearance.
+    /// first appearance, once for the item list and once for the index.
     pub fn intern(&mut self, payload: &M) -> PayloadId {
         if let Some(id) = self.index.get(payload) {
             return *id;
         }
-        self.intern_owned(payload.clone())
+        self.insert_new(payload.clone(), payload.clone())
     }
 
-    /// Interns an owned `payload` (no clone even on first appearance).
+    /// Interns an owned `payload`, returning its handle. On first
+    /// appearance the payload is cloned once: the item list keeps the
+    /// clone and the index keeps `payload` as its key.
     pub fn intern_owned(&mut self, payload: M) -> PayloadId {
         if let Some(id) = self.index.get(&payload) {
             return *id;
         }
+        self.insert_new(payload.clone(), payload)
+    }
+
+    /// Stores a payload the index does not hold yet: `item` in the item
+    /// list, `key` (an equal copy) as its index key.
+    fn insert_new(&mut self, item: M, key: M) -> PayloadId {
         let id = PayloadId(u32::try_from(self.items.len()).expect("more than u32::MAX payloads"));
-        self.items.push(payload.clone());
-        self.index.insert(payload, id);
+        self.items.push(item);
+        self.index.insert(key, id);
         id
     }
 

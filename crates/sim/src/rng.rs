@@ -1,11 +1,11 @@
 //! A small, deterministic, dependency-free PRNG.
 //!
 //! The workspace builds with no external crates (the container has no
-//! network registry), so seeded randomness for adversaries, probers, and
-//! property tests comes from this SplitMix64 generator instead of `rand`.
-//! Sequences are stable across platforms and releases of this repository:
-//! certificates and probe reports cite seeds, and re-running a seed must
-//! reproduce the exact execution.
+//! network registry), so seeded randomness for adversaries, adversary
+//! search, and property tests comes from this SplitMix64 generator instead
+//! of `rand`. Sequences are stable across platforms and releases of this
+//! repository: campaign points and search runs cite seeds, and
+//! re-running a seed must reproduce the exact execution.
 
 /// A seeded SplitMix64 pseudo-random generator.
 ///

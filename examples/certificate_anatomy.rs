@@ -1,13 +1,12 @@
 //! Dissecting a violation certificate: run the falsifier, then render the
-//! violating execution round by round (traffic, omissions, decisions) and
-//! show the indistinguishability frontier that makes the counterexample
-//! work.
+//! violating execution round by round (traffic, omissions, decisions);
+//! then find the minimal adversary against a cheaper broken protocol by
+//! exhaustive model checking.
 //!
-//! Run with `cargo run --bin certificate_anatomy`.
+//! Run with `cargo run --release -p ba-examples --example certificate_anatomy`.
 
-use ba_core::lowerbound::{
-    exhaustive_omission_check, falsify, ExhaustiveConfig, FalsifierConfig, Verdict,
-};
+use ba_check::{check, CheckSpec};
+use ba_core::lowerbound::{falsify, FalsifierConfig, Verdict};
 use ba_examples::banner;
 use ba_protocols::broken::{LeaderEcho, OneRoundAllToAll};
 use ba_sim::{render_execution, Bit, ExecutorConfig, ProcessId};
@@ -40,18 +39,18 @@ fn main() {
     println!("OneRoundAllToAll at n = 4, t = 1: enumerate EVERY send-omission pattern");
     println!("of one corrupted process and report the smallest that splits the");
     println!("correct processes:\n");
-    let ecfg = ExecutorConfig::new(4, 1);
-    let outcome = exhaustive_omission_check(
-        &ecfg,
-        |_| OneRoundAllToAll::new(),
-        &[Bit::Zero; 4],
-        ProcessId(3),
-        &ExhaustiveConfig::new(1).send_only(),
-    )
-    .expect("exhaustive check");
+    let spec = CheckSpec::new(ExecutorConfig::new(4, 1), 1)
+        .static_corruption([ProcessId(3)])
+        .send_only();
+    let outcome =
+        check(&spec, |_| OneRoundAllToAll::new(), &[Bit::Zero; 4], 1).expect("exhaustive check");
     let cert = outcome.certificate().expect("violation must exist");
     cert.verify().expect("certificate verification");
-    println!("{}", cert.kind);
+    println!(
+        "{} ({} executions explored)",
+        cert.kind,
+        outcome.report().executions
+    );
     for step in &cert.provenance {
         println!("  - {step}");
     }

@@ -5,7 +5,8 @@
 //! exactly what separates omission from crash. FloodSet makes the boundary
 //! concrete: correct under crashes, broken under omission.
 
-use ba_core::lowerbound::{falsify, probe_weak_consensus, FalsifierConfig, ProbeOutcome, Verdict};
+use ba_check::{check, CheckSpec};
+use ba_core::lowerbound::{falsify, FalsifierConfig, Verdict};
 use ba_protocols::FloodSet;
 use ba_sim::{Adversary, Bit, ExecutorConfig, Fate, ProcessId, Round, Scenario, TableOmissionPlan};
 use ba_tests::{assert_agreement, assert_certificate, correct_decisions, uniform};
@@ -87,22 +88,21 @@ fn floodset_survives_the_falsifier_as_it_is_quadratic() {
 }
 
 #[test]
-fn random_prober_finds_floodset_omission_violations() {
-    // Random send/receive omissions *can* stumble into the sandbagging
-    // pattern; with enough trials the prober exhibits the violation and the
-    // certificate verifies.
-    let cfg = ExecutorConfig::new(5, 2);
-    let outcome = probe_weak_consensus(&cfg, |_| FloodSet::new(), 400, 17).unwrap();
-    match outcome {
-        ProbeOutcome::Violation(cert, report) => {
-            assert_certificate(&cert);
-            assert!(report.trials <= 400);
-        }
-        ProbeOutcome::Clean(report) => panic!(
-            "expected the prober to break FloodSet under omission within {} trials",
-            report.trials
-        ),
-    }
+fn model_check_finds_floodset_omission_violations() {
+    // Every send-omission pattern of p4 over the first t + 1 rounds; the
+    // sandbagging pattern above is one of them, so the space is refuted
+    // and its minimal certificate verifies.
+    let spec = CheckSpec::new(ExecutorConfig::new(5, 2), 3)
+        .static_corruption([ProcessId(4)])
+        .send_only();
+    let proposals = [Bit::One, Bit::One, Bit::One, Bit::One, Bit::Zero];
+    let outcome = check(&spec, |_| FloodSet::new(), &proposals, 0).unwrap();
+    let found = outcome.violation().expect("omissions must break FloodSet");
+    assert_certificate(&found.certificate);
+    let report = outcome.report();
+    assert!(report.complete);
+    // 2^(4 receivers · 3 rounds) send-omission patterns.
+    assert_eq!(report.executions, 4_096);
 }
 
 #[test]

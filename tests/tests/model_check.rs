@@ -1,12 +1,15 @@
 //! Cross-crate validation of the exhaustive model checker.
 //!
-//! * **Differential harness** — on the single-process-omission subspace
-//!   (static corruption, no forging, no reordering) the new branching
-//!   explorer and the legacy mask-enumerating
-//!   [`exhaustive_omission_check`] must agree *exactly*: same verdict,
-//!   same violation kind, and the same minimal certificate execution.
-//!   Every protocol in `ba-protocols` goes through the harness, including
-//!   all the planted `broken` bugs — each must be caught.
+//! * **Golden table** — on single-process omission spaces (static
+//!   corruption, no forging, no reordering) every protocol in
+//!   `ba-protocols`, including all the planted `broken` bugs, keeps the
+//!   verdict, violation kind, shrunk tape and execution count pinned in
+//!   `GOLDEN`. The verdicts and minimal certificates are those of the
+//!   mask-enumerating legacy checker that this explorer replaced, read
+//!   while the two still ran side by side and agreed on every row. Each
+//!   legacy minimal adversary was one send omission of the corrupted
+//!   process or none, so every certificate must equal the run under that
+//!   explicit omission table.
 //! * **Replay property** — every shrunk violation tape must replay, by
 //!   direct fault-model interpretation, to the very violation it claims.
 //! * **Determinism and sharding** — thread counts must not change the
@@ -16,195 +19,180 @@
 
 use ba_bench::check::{merge_check_points, CheckLabel, CheckSweepPoint};
 use ba_bench::dist::{registry_check, run_manifest};
-use ba_check::{check, replay, CheckOutcome, CheckSpec, CorruptionSpace};
-use ba_core::lowerbound::{exhaustive_omission_check, ExhaustiveConfig, ExhaustiveOutcome};
+use ba_check::{check, replay, CheckSpec, CorruptionSpace};
+use ba_core::lowerbound::ViolationKind;
 use ba_crypto::Keybook;
 use ba_dist::{merge_reports, plan_shards, Decode, ShardReport, SweepSpec};
 use ba_protocols::broken::{
     EchoChain, LeaderEcho, OneRoundAllToAll, OwnProposal, ParanoidEcho, SilentConstant,
 };
 use ba_protocols::{DolevStrong, FloodSet, PhaseKing};
-use ba_sim::{Bit, CampaignPoint, ExecutorConfig, ProcessId, Protocol};
+use ba_sim::{
+    Adversary, Bit, CampaignPoint, ExecutorConfig, Fate, ProcessId, Protocol, Round, Scenario,
+    TableOmissionPlan,
+};
 
-/// Runs both checkers over the same single-process-omission space and
-/// asserts they agree exactly; returns whether the space was refuted.
-fn differential<P, F>(
-    label: &str,
-    factory: F,
-    (n, t): (usize, usize),
-    rounds: u64,
-    send_only: bool,
-    proposals: &[Bit],
-    corrupted: ProcessId,
-) -> bool
+/// A pinned outcome: a proof by enumeration, or the minimal violation.
+enum Expect {
+    Robust,
+    Violated {
+        kind: ViolationKind,
+        /// ba-check's shrunk choice tape.
+        tape: &'static [u32],
+        /// The legacy minimal adversary: the corrupted process's one send
+        /// omission `(round, receiver)`, or none.
+        omission: Option<(u64, usize)>,
+    },
+}
+
+const fn agreement(
+    p: usize,
+    q: usize,
+    tape: &'static [u32],
+    omission: Option<(u64, usize)>,
+) -> Expect {
+    Expect::Violated {
+        kind: ViolationKind::Agreement {
+            p: ProcessId(p),
+            q: ProcessId(q),
+        },
+        tape,
+        omission,
+    }
+}
+
+/// `(protocol, corrupted, fault rounds, send-only, proposals, executions,
+/// outcome)` of one space at n = 4, t = 1.
+type Row = (&'static str, usize, u64, bool, [u8; 4], u64, Expect);
+
+/// Every space of the former differential harness, then the legacy
+/// checker's own unit-test spaces.
+#[rustfmt::skip]
+const GOLDEN: &[Row] = &[
+    ("one-round-all-to-all", 0, 1, true,  [0, 0, 0, 0],  8, agreement(1, 2, &[1], Some((1, 1)))),
+    ("paranoid-echo",        0, 2, true,  [0, 0, 0, 0], 64, agreement(1, 2, &[0, 0, 0, 1], Some((2, 1)))),
+    ("echo-chain",           0, 2, true,  [0, 0, 0, 0], 64, agreement(1, 2, &[0, 0, 0, 1], Some((2, 1)))),
+    // A unanimous-zero verdict omitted to one process in round 2 splits
+    // the decisions; the corrupted leader is where the bug lives.
+    ("leader-echo",          0, 2, true,  [0, 0, 0, 0],  8, agreement(1, 2, &[1], Some((2, 1)))),
+    ("own-proposal",         3, 1, false, [0, 1, 0, 1],  1, agreement(0, 1, &[], None)),
+    ("dolev-strong",         3, 2, false, [0, 0, 0, 0], 36, Expect::Robust),
+    ("dolev-strong",         3, 2, false, [1, 1, 1, 1], 36, Expect::Robust),
+    ("dolev-strong",         3, 2, false, [0, 1, 0, 1], 36, Expect::Robust),
+    ("flood-set",            1, 1, false, [0, 0, 0, 0], 64, Expect::Robust),
+    ("flood-set",            1, 1, false, [1, 1, 1, 1], 64, Expect::Robust),
+    ("flood-set",            1, 1, false, [0, 1, 0, 1], 64, Expect::Robust),
+    ("phase-king",           2, 1, true,  [0, 0, 0, 0],  8, Expect::Robust),
+    ("phase-king",           2, 1, true,  [1, 1, 1, 1],  8, Expect::Robust),
+    ("phase-king",           2, 1, true,  [0, 1, 0, 1],  8, Expect::Robust),
+    ("phase-king-weak",      2, 1, true,  [0, 0, 0, 0],  8, Expect::Robust),
+    ("phase-king-weak",      2, 1, true,  [1, 1, 1, 1],  8, Expect::Robust),
+    ("phase-king-weak",      2, 1, true,  [0, 1, 0, 1],  8, Expect::Robust),
+    // silent-constant-1 stonewalls Termination/Agreement checks under a
+    // *corrupted* process (its constant decision is unanimous).
+    ("silent-constant-1",    0, 1, false, [0, 0, 0, 0],  1, Expect::Robust),
+    ("one-round-all-to-all", 3, 1, true,  [0, 0, 0, 0],  8, agreement(0, 1, &[1], Some((1, 0)))),
+    ("paranoid-echo",        3, 2, true,  [0, 0, 0, 0], 64, agreement(0, 1, &[0, 0, 0, 1], Some((2, 0)))),
+    // Even the designated sender cannot split the correct processes.
+    ("dolev-strong",         0, 2, true,  [1, 1, 1, 1],  8, Expect::Robust),
+];
+
+/// Checks one golden row's space and asserts its pinned outcome.
+fn pin<P, F>(row: &Row, factory: F)
 where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P + Sync,
 {
-    let cfg = ExecutorConfig::new(n, t);
-    let mut bounds = ExhaustiveConfig::new(rounds);
-    if send_only {
-        bounds = bounds.send_only();
-    }
-    let legacy = exhaustive_omission_check(&cfg, &factory, proposals, corrupted, &bounds)
-        .expect("legacy check runs");
-
-    let mut spec: CheckSpec<P::Msg> = CheckSpec::new(cfg, rounds).static_corruption([corrupted]);
-    if send_only {
+    let (label, corrupted, rounds, send_only, proposals, executions, expect) = row;
+    let label = format!("{label} p{corrupted} {proposals:?}");
+    let corrupted = ProcessId(*corrupted);
+    let proposals = proposals.map(|b| Bit::from(b == 1));
+    let cfg = ExecutorConfig::new(4, 1);
+    let mut spec: CheckSpec<P::Msg> = CheckSpec::new(cfg, *rounds).static_corruption([corrupted]);
+    if *send_only {
         spec = spec.send_only();
     }
-    let outcome = check(&spec, &factory, proposals, 1).expect("new check runs");
-    assert!(
-        outcome.report().complete,
-        "{label}: differential space must be fully explored"
+    let outcome = check(&spec, &factory, &proposals, 1).expect("check runs");
+    assert!(outcome.report().complete, "{label}: must be fully explored");
+    assert_eq!(
+        outcome.report().executions,
+        *executions,
+        "{label}: executions"
     );
 
-    match (&legacy, &outcome) {
-        (ExhaustiveOutcome::Robust(_), CheckOutcome::Exhausted(_)) => false,
-        (ExhaustiveOutcome::Violation(legacy_cert, _), CheckOutcome::Violation(found, _)) => {
-            assert_eq!(
-                found.certificate.kind, legacy_cert.kind,
-                "{label}: violation kinds must match"
-            );
-            assert_eq!(
-                found.certificate.execution, legacy_cert.execution,
-                "{label}: both checkers must pick the same minimal violating execution"
-            );
-            legacy_cert.verify().expect("legacy certificate verifies");
-            found
-                .certificate
-                .verify()
-                .expect("new certificate verifies");
+    let Expect::Violated {
+        kind,
+        tape,
+        omission,
+    } = expect
+    else {
+        let kind = outcome.certificate().map(|c| c.kind);
+        assert!(outcome.is_proof(), "{label}: verdict moved to {kind:?}");
+        return;
+    };
+    let found = outcome
+        .violation()
+        .unwrap_or_else(|| panic!("{label}: verdict moved to exhausted"));
+    assert_eq!(found.certificate.kind, *kind, "{label}: violation kind");
+    assert_eq!(found.choices, *tape, "{label}: shrunk tape");
+    found.certificate.verify().expect("certificate verifies");
 
-            // Replay property: the shrunk tape, interpreted directly by the
-            // fault layer, reproduces the exact claimed violation.
-            let replayed =
-                replay(&spec, &factory, proposals, &found.choices).expect("shrunk tape replays");
-            assert_eq!(replayed.violation, Some(found.certificate.kind));
-            assert_eq!(replayed.corrupted, found.corrupted);
-            assert_eq!(replayed.choices, found.choices);
-            assert_eq!(replayed.execution, found.certificate.execution);
-            true
-        }
-        (legacy, fresh) => panic!("{label}: verdicts diverge — legacy {legacy:?} vs {fresh:?}"),
+    // The certificate is the legacy minimal adversary's run.
+    let mut plan = TableOmissionPlan::new();
+    if let Some((round, receiver)) = omission {
+        plan.set(
+            Round(*round),
+            corrupted,
+            ProcessId(*receiver),
+            Fate::SendOmit,
+        );
     }
+    let table = Scenario::config(&cfg)
+        .protocol(&factory)
+        .inputs(proposals)
+        .adversary(Adversary::omission([corrupted], plan))
+        .run()
+        .expect("table run");
+    assert_eq!(
+        found.certificate.execution, table,
+        "{label}: minimal certificate"
+    );
+
+    // Replay property: the shrunk tape, interpreted directly by the fault
+    // layer, reproduces the exact claimed violation.
+    let replayed =
+        replay(&spec, &factory, &proposals, &found.choices).expect("shrunk tape replays");
+    assert_eq!(replayed.violation, Some(found.certificate.kind));
+    assert_eq!(replayed.corrupted, found.corrupted);
+    assert_eq!(replayed.choices, found.choices);
+    assert_eq!(replayed.execution, found.certificate.execution);
 }
 
 #[test]
 fn differential_harness_agrees_with_the_legacy_checker_on_every_protocol() {
-    let (n, t) = (4, 1);
-    let mixed: Vec<Bit> = (0..n).map(|i| Bit::from(i % 2 == 1)).collect();
-    let zeros = vec![Bit::Zero; n];
-    let ones = vec![Bit::One; n];
-
-    // The planted bugs, each caught by both checkers with identical minimal
-    // certificates.
-    assert!(differential(
-        "one-round-all-to-all",
-        |_| OneRoundAllToAll::new(),
-        (n, t),
-        1,
-        true,
-        &zeros,
-        ProcessId(0),
-    ));
-    assert!(differential(
-        "paranoid-echo",
-        |_| ParanoidEcho::new(),
-        (n, t),
-        2,
-        true,
-        &zeros,
-        ProcessId(0),
-    ));
-    assert!(differential(
-        "echo-chain",
-        |_| EchoChain::new(2),
-        (n, t),
-        2,
-        true,
-        &zeros,
-        ProcessId(0),
-    ));
-    // A unanimous-zero verdict omitted to one process in round 2 splits the
-    // decisions; the corrupted leader is where the bug lives.
-    assert!(differential(
-        "leader-echo",
-        |_| LeaderEcho::new(ProcessId(0)),
-        (n, t),
-        2,
-        true,
-        &zeros,
-        ProcessId(0),
-    ));
-    assert!(differential(
-        "own-proposal",
-        |_| OwnProposal::new(),
-        (n, t),
-        1,
-        false,
-        &mixed,
-        ProcessId(3),
-    ));
-
-    // The robust protocols: proofs by enumeration from both checkers, over
-    // several proposal profiles and omission directions.
-    for proposals in [&zeros, &ones, &mixed] {
-        assert!(!differential(
-            "dolev-strong",
-            DolevStrong::factory(Keybook::new(n), ProcessId(0), Bit::Zero),
-            (n, t),
-            2,
-            false,
-            proposals,
-            ProcessId(3),
-        ));
-        assert!(!differential(
-            "flood-set",
-            |_| FloodSet::new(),
-            (n, t),
-            1,
-            false,
-            proposals,
-            ProcessId(1),
-        ));
-        assert!(!differential(
-            "phase-king",
-            |_| PhaseKing::new(n, t),
-            (n, t),
-            1,
-            true,
-            proposals,
-            ProcessId(2),
-        ));
-        assert!(!differential(
-            "phase-king-weak",
-            |_| PhaseKing::with_phases(n, t, 1),
-            (n, t),
-            1,
-            true,
-            proposals,
-            ProcessId(2),
-        ));
+    for row in GOLDEN {
+        match row.0 {
+            "one-round-all-to-all" => pin(row, |_| OneRoundAllToAll::new()),
+            "paranoid-echo" => pin(row, |_| ParanoidEcho::new()),
+            "echo-chain" => pin(row, |_| EchoChain::new(2)),
+            "leader-echo" => pin(row, |_| LeaderEcho::new(ProcessId(0))),
+            "own-proposal" => pin(row, |_| OwnProposal::new()),
+            "dolev-strong" => pin(
+                row,
+                DolevStrong::factory(Keybook::new(4), ProcessId(0), Bit::Zero),
+            ),
+            "flood-set" => pin(row, |_| FloodSet::new()),
+            "phase-king" => pin(row, |_| PhaseKing::new(4, 1)),
+            "phase-king-weak" => pin(row, |_| PhaseKing::with_phases(4, 1, 1)),
+            "silent-constant-1" => pin(row, |_| SilentConstant::new(Bit::One)),
+            other => panic!("no factory for {other}"),
+        }
     }
-
-    // silent-constant-1 stonewalls Termination/Agreement checks under a
-    // *corrupted* process (its constant decision is unanimous), so the
-    // omission-only differential space holds — on both checkers.
-    assert!(!differential(
-        "silent-constant-1",
-        |_| SilentConstant::new(Bit::One),
-        (n, t),
-        1,
-        false,
-        &zeros,
-        ProcessId(0),
-    ));
 }
 
 #[test]
 fn empty_corruption_root_catches_weak_validity_beyond_the_legacy_subspace() {
-    // The legacy checker always corrupts one process, which makes Weak
+    // The legacy checker always corrupted one process, which makes Weak
     // Validity vacuous; the branching explorer's corruption point includes
     // the *empty* set, where a constant-deciding protocol is refutable.
     const N: usize = 4;

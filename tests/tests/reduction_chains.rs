@@ -5,7 +5,8 @@
 
 use std::sync::Arc;
 
-use ba_core::lowerbound::{falsify, probe_weak_consensus, FalsifierConfig, ProbeOutcome, Verdict};
+use ba_check::{check, CheckSpec};
+use ba_core::lowerbound::{falsify, FalsifierConfig, Verdict};
 use ba_core::reduction::{
     derive_reduction_inputs, ReductionInputs, ViaInteractiveConsistency, WeakFromAgreement,
 };
@@ -14,7 +15,7 @@ use ba_core::validity::{IcValidity, InputConfig, SenderValidity, StrongValidity,
 use ba_crypto::Keybook;
 use ba_protocols::interactive_consistency::authenticated_ic_factory;
 use ba_protocols::{DolevStrong, EigConsensus, PhaseKing};
-use ba_sim::{Bit, ExecutorConfig, ProcessId, Scenario};
+use ba_sim::{Bit, ExecutorConfig, ProcessId, Protocol, Scenario};
 use ba_tests::uniform;
 
 #[test]
@@ -159,7 +160,7 @@ fn full_circle_algorithm2_then_algorithm1() {
     // Close the loop of the paper's §4–§5: build strong consensus from IC
     // (Algorithm 2), then build weak consensus from that strong consensus
     // (Algorithm 1), and check the result solves weak consensus under
-    // random omission faults.
+    // every omission adversary that acts in the first round.
     let (n, t) = (4, 1);
     let params = SystemParams::new(n, t);
     let vp = StrongValidity::binary();
@@ -196,20 +197,39 @@ fn full_circle_algorithm2_then_algorithm1() {
         assert!(exec.all_correct_decided(bit));
     }
 
-    // And under randomized omission faults it behaves like weak consensus.
-    let strong_factory2 = strong_factory.clone();
-    let inputs_c = inputs.clone();
-    let outcome = probe_weak_consensus(
-        &cfg,
-        move |pid| WeakFromAgreement::new(strong_factory2(pid), inputs_c.clone()),
-        60,
-        42,
-    )
-    .unwrap();
-    assert!(
-        matches!(outcome, ProbeOutcome::Clean(_)),
-        "composed stack violated weak consensus: {outcome:?}"
-    );
+    // And under every first-round omission adversary it behaves like weak
+    // consensus: a proof by enumeration.
+    assert_weak_consensus_proof(&cfg, |pid| {
+        WeakFromAgreement::new(strong_factory(pid), inputs.clone())
+    });
+}
+
+/// Model-checks `factory` as weak consensus against every omission
+/// adversary of at most `t` processes (both directions, first round) for
+/// all-0, all-1 and alternating proposals, and requires a proof by
+/// enumeration each time.
+fn assert_weak_consensus_proof<P, F>(cfg: &ExecutorConfig, factory: F)
+where
+    P: Protocol<Input = Bit, Output = Bit>,
+    F: Fn(ProcessId) -> P + Sync,
+{
+    let spec = CheckSpec::new(*cfg, 1);
+    let alternating: Vec<Bit> = (0..cfg.n).map(|i| Bit::from(i % 2 == 1)).collect();
+    for proposals in [
+        uniform(cfg.n, Bit::Zero),
+        uniform(cfg.n, Bit::One),
+        alternating,
+    ] {
+        let outcome = check(&spec, &factory, &proposals, 0).unwrap();
+        assert!(
+            outcome.is_proof(),
+            "weak consensus falls for {proposals:?}: {:?}",
+            outcome.certificate().map(|c| c.kind)
+        );
+        // The fault-free root plus 2^6 omission patterns per corruptible
+        // process at n = 4.
+        assert_eq!(outcome.report().executions, 257);
+    }
 }
 
 #[test]
@@ -240,12 +260,7 @@ fn corollary_1_shape_reduction_inputs_from_two_executions() {
         v1,
         c_star: InputConfig::full(uniform(n, Bit::One)),
     };
-    let outcome = probe_weak_consensus(
-        &cfg,
-        move |_| WeakFromAgreement::new(PhaseKing::new(n, t), inputs.clone()),
-        60,
-        43,
-    )
-    .unwrap();
-    assert!(matches!(outcome, ProbeOutcome::Clean(_)));
+    assert_weak_consensus_proof(&cfg, |_| {
+        WeakFromAgreement::new(PhaseKing::new(n, t), inputs.clone())
+    });
 }
