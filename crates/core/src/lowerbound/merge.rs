@@ -15,8 +15,8 @@ use std::error::Error;
 use std::fmt;
 
 use ba_sim::{
-    Adversary, Bit, Execution, ExecutorConfig, Fate, FnPlan, ProcessId, Protocol, Round, Scenario,
-    SimError,
+    Adversary, Bit, Execution, ExecutorConfig, FnPlan, ProcessId, Protocol, Round, Routing,
+    Scenario, SimError,
 };
 
 use super::family::Partition;
@@ -137,16 +137,16 @@ where
             } else if partition.c().contains(&receiver) {
                 ec
             } else {
-                return Fate::Deliver;
+                return Routing::Deliver;
             };
             let received_originally = original
                 .record(receiver)
                 .fragment(round)
                 .is_some_and(|frag| frag.received.get(&sender) == Some(payload));
             if received_originally {
-                Fate::Deliver
+                Routing::Deliver
             } else {
-                Fate::ReceiveOmit
+                Routing::ReceiveOmit
             }
         },
     );

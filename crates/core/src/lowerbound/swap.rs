@@ -130,7 +130,7 @@ where
 mod tests {
     use super::*;
     use ba_sim::{
-        Adversary, Bit, Fate, Inbox, Outbox, ProcessCtx, Protocol, Round, Scenario, SimRng,
+        Adversary, Bit, Inbox, Outbox, ProcessCtx, Protocol, Round, Routing, Scenario, SimRng,
         TableOmissionPlan,
     };
 
@@ -233,7 +233,7 @@ mod tests {
     #[test]
     fn swap_fails_for_send_omitting_pivot() {
         let mut plan = TableOmissionPlan::new();
-        plan.set(Round(1), ProcessId(2), ProcessId(0), Fate::SendOmit);
+        plan.set(Round(1), ProcessId(2), ProcessId(0), Routing::SendOmit);
         let exec = Scenario::new(3, 1)
             .protocol(|_| Broadcaster::new(2))
             .uniform_input(Bit::Zero)
@@ -321,9 +321,9 @@ mod tests {
                     for sender in ProcessId::all(n) {
                         for receiver in ProcessId::all(n).filter(|r| *r != sender) {
                             if faulty.contains(&sender) && rng.gen_bool(0.3) {
-                                plan.set(Round(round), sender, receiver, Fate::SendOmit);
+                                plan.set(Round(round), sender, receiver, Routing::SendOmit);
                             } else if faulty.contains(&receiver) && rng.gen_bool(0.4) {
-                                plan.set(Round(round), sender, receiver, Fate::ReceiveOmit);
+                                plan.set(Round(round), sender, receiver, Routing::ReceiveOmit);
                             }
                         }
                     }

@@ -90,12 +90,19 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Parses one JSON line. Returns `None` on any syntax error or trailing
-/// garbage — telemetry consumers skip unparseable lines rather than fail.
+/// The deepest nesting of arrays and objects [`parse_json_line`] accepts.
+/// The parser recurses once per level, so a cap keeps a hostile line from
+/// overflowing the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON line. Returns `None` on any syntax error, trailing
+/// garbage or nesting deeper than 128 levels — telemetry consumers skip
+/// unparseable lines rather than fail.
 pub fn parse_json_line(line: &str) -> Option<Json> {
     let mut p = Parser {
         bytes: line.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -110,6 +117,8 @@ pub fn parse_json_line(line: &str) -> Option<Json> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -139,14 +148,26 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Option<Json> {
         match self.bytes.get(self.pos)? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => self.string().map(Json::Str),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
             _ => self.number(),
         }
+    }
+
+    /// Parses an array or object one level deeper; `None` past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Option<Json>) -> Option<Json> {
+        if self.depth == MAX_DEPTH {
+            return None;
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Option<Json> {
@@ -296,6 +317,8 @@ mod tests {
         assert_eq!(parse_json_line(""), None);
         // Wire-format lines (the shard report) never parse as JSON.
         assert_eq!(parse_json_line("report count=3"), None);
+        // Nesting past the depth cap is rejected, not a stack overflow.
+        assert_eq!(parse_json_line(&"[".repeat(200_000)), None);
     }
 
     #[test]

@@ -388,7 +388,7 @@ impl Protocol for EchoChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::{Adversary, Fate, Scenario, TableOmissionPlan};
+    use ba_sim::{Adversary, Routing, Scenario, TableOmissionPlan};
 
     #[test]
     fn silent_constant_violates_weak_validity() {
@@ -445,7 +445,7 @@ mod tests {
         // every other correct process decides 0 — Agreement violated among
         // correct processes p1 and p2.
         let mut plan = TableOmissionPlan::new();
-        plan.set(Round(1), ProcessId(0), ProcessId(1), Fate::SendOmit);
+        plan.set(Round(1), ProcessId(0), ProcessId(1), Routing::SendOmit);
         let exec = Scenario::new(4, 1)
             .protocol(|_| OneRoundAllToAll::new())
             .uniform_input(Bit::Zero)
@@ -518,7 +518,7 @@ mod tests {
         // All propose 0; p0 (faulty) send-omits its round-2 tentative to
         // p1: p1 decides 1, p2 decides 0 — both correct.
         let mut plan = TableOmissionPlan::new();
-        plan.set(Round(2), ProcessId(0), ProcessId(1), Fate::SendOmit);
+        plan.set(Round(2), ProcessId(0), ProcessId(1), Routing::SendOmit);
         let exec = Scenario::new(4, 1)
             .protocol(|_| ParanoidEcho::new())
             .uniform_input(Bit::Zero)

@@ -107,7 +107,7 @@ impl<V: Value> Protocol for FloodSet<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ba_sim::{Adversary, Bit, Fate, ProcessId, Scenario, TableOmissionPlan};
+    use ba_sim::{Adversary, Bit, ProcessId, Routing, Scenario, TableOmissionPlan};
     use std::collections::BTreeSet as Set;
 
     #[test]
@@ -190,7 +190,7 @@ mod tests {
                         Round(round),
                         ProcessId(3),
                         ProcessId(receiver),
-                        Fate::SendOmit,
+                        Routing::SendOmit,
                     );
                 }
             }

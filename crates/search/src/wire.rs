@@ -76,7 +76,7 @@ impl Decode for StrategyGenome {
             raw => Some(parse_num(&header, "reorder", raw)?),
         };
         let count: usize = header.parse_field("count")?;
-        let mut genes = Vec::with_capacity(count);
+        let mut genes = Vec::with_capacity(count.min(1 << 16));
         for _ in 0..count {
             let rec = reader.record("gene")?;
             let trigger = {
@@ -255,5 +255,11 @@ mod tests {
         // Bad mask digits.
         let badmask = wire.replace("action=mute", "action=mask:zz");
         assert!(StrategyGenome::from_wire(&badmask).is_err());
+        // A huge count with no genes behind it is an error, not an
+        // allocation failure, also when it arrives as a `genome:` label.
+        let huge = "genome budget=1 reorder=none count=1000000000000\n";
+        assert!(StrategyGenome::from_wire(huge).is_err());
+        let label = format!("{GENOME_LABEL_PREFIX}{}", escape(huge));
+        assert!(genome_from_label(&label).is_err());
     }
 }

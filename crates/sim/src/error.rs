@@ -35,11 +35,12 @@ pub enum SimError {
         /// The number of processes in the system.
         n: usize,
     },
-    /// The omission plan blamed a process outside the fault set.
+    /// The fault model's omission blamed a process that is not currently
+    /// corrupted.
     OmissionByCorrect {
-        /// The correct process the plan tried to blame.
+        /// The correct process the model tried to blame.
         process: ProcessId,
-        /// The round of the offending fate decision.
+        /// The round of the offending routing decision.
         round: Round,
     },
     /// The fault model forged a message from a sender that is not currently

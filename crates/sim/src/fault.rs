@@ -1,4 +1,5 @@
-//! Execution-observing fault models: the adaptive adversary layer.
+//! Execution-observing fault models: the executor's one adversary
+//! interface.
 //!
 //! The paper's lower bound is driven by adversaries that *react* to the
 //! unfolding execution. A [`FaultModel`] is the executor's single adversary
@@ -12,24 +13,25 @@
 //!   *charged* against the budget, so `|ever-corrupted| ≤ t` and every
 //!   produced [`Execution`](crate::Execution) still validates);
 //! * **routing decisions** ([`FaultModel::route`]): deliver, send-omit,
-//!   receive-omit ([`Routing`] mirrors the omission model's
-//!   [`Fate`](crate::Fate)) or **forge** — replace a corrupted sender's
-//!   payload in transit (the routing-level Byzantine capability);
+//!   receive-omit (the omission model's three fates, paper §3) or
+//!   **forge** — replace a corrupted sender's payload in transit (the
+//!   routing-level Byzantine capability);
 //! * optionally a **delivery schedule** ([`FaultModel::schedule`]): a
 //!   permutation of the round's routing queue, which is what makes
 //!   message-scheduling adversaries (rushing, bounded-capacity links)
 //!   expressible — later routing decisions observe the traffic routed
 //!   earlier in the same round.
 //!
-//! The legacy static adversaries are canned models: [`PlannedFaults`] wraps
-//! a fixed fault set plus an [`OmissionPlan`], and the
-//! [`Adversary`](crate::Adversary) constructors build exactly these, so
-//! every pre-trait call site keeps its bit-identical behavior. The adaptive
-//! regime studied in "Breaking the O(n²) Bit Barrier" and "Make Every Word
-//! Count" is covered by [`AdaptiveWorstCase`] (corrupt the chattiest
-//! processes after observing round 1), [`MobileOmission`] (corruption that
-//! moves between processes under a budget), and [`SchedulerOmission`]
-//! (seeded delivery reordering against a capacity-limited victim).
+//! The static adversaries are models too: the plans of the `plan` module
+//! ([`NoFaults`](crate::NoFaults), [`IsolationPlan`](crate::IsolationPlan),
+//! [`CrashPlan`](crate::CrashPlan), …) route from the round alone and
+//! declare the fixed set they blame, and [`PlannedFaults`] declares a
+//! different fixed set around any model. The adaptive regime studied in
+//! "Breaking the O(n²) Bit Barrier" and "Make Every Word Count" is covered
+//! by [`AdaptiveWorstCase`] (corrupt the chattiest processes after
+//! observing round 1), [`MobileOmission`] (corruption that moves between
+//! processes under a budget), and [`SchedulerOmission`] (seeded delivery
+//! reordering against a capacity-limited victim).
 //!
 //! Budgets are validated **centrally at build time**: a model whose
 //! eventual corruption set can exceed `t` is rejected with a typed
@@ -40,16 +42,16 @@ use std::collections::BTreeSet;
 use crate::execution::FaultMode;
 use crate::ids::{ProcessId, Round};
 use crate::mailbox::ReceiverMask;
-use crate::plan::{Fate, OmissionPlan};
+use crate::plan::NoFaults;
 use crate::rng::SimRng;
 use crate::value::Payload;
 
 /// What one routing decision does to a message in transit.
 ///
-/// The first three variants mirror the omission model's
-/// [`Fate`](crate::Fate); [`Routing::Forge`] is the routing-level Byzantine
-/// capability: the (corrupted) sender's payload is replaced in transit and
-/// the receiver observes the forged message as a regular delivery.
+/// The first three variants are the omission model's fates (paper §3);
+/// [`Routing::Forge`] is the routing-level Byzantine capability: the
+/// (corrupted) sender's payload is replaced in transit and the receiver
+/// observes the forged message as a regular delivery.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Routing<M> {
     /// Deliver the message unchanged.
@@ -71,16 +73,6 @@ impl<M> Routing<M> {
             Routing::Deliver | Routing::Forge(_) => None,
             Routing::SendOmit => Some(sender),
             Routing::ReceiveOmit => Some(receiver),
-        }
-    }
-}
-
-impl<M> From<Fate> for Routing<M> {
-    fn from(fate: Fate) -> Self {
-        match fate {
-            Fate::Deliver => Routing::Deliver,
-            Fate::SendOmit => Routing::SendOmit,
-            Fate::ReceiveOmit => Routing::ReceiveOmit,
         }
     }
 }
@@ -318,50 +310,56 @@ impl<M, T: FaultModel<M> + ?Sized> FaultModel<M> for Box<T> {
     }
 }
 
-/// The legacy static adversary as a fault model: a fixed fault set plus an
-/// [`OmissionPlan`] deciding each message's fate.
+/// A fixed fault set declared around any fault model: corrupts `faulty`
+/// from round 1 on and leaves every decision to the wrapped model.
 ///
-/// Every pre-trait [`Adversary`](crate::Adversary) flavor reduces to this —
-/// fault-free (`PlannedFaults::none()`), omission, crash, Byzantine (empty
-/// plan; the behaviors occupy slots), and mixed — and the plan is consulted
-/// with exactly the arguments and in exactly the order of the pre-trait
-/// executor, so executions are bit-identical.
+/// This is how a plan blames a set other than its own
+/// [`budget`](FaultModel::budget), and how an [`FnPlan`](crate::FnPlan),
+/// which declares no faulty processes, names the ones it blames.
+/// [`Adversary::omission`](crate::Adversary::omission),
+/// [`Adversary::byzantine`](crate::Adversary::byzantine) and
+/// [`Adversary::mixed`](crate::Adversary::mixed) build it. Only
+/// [`budget`](FaultModel::budget) is overridden; every other method
+/// forwards, so routing is decision-for-decision that of the wrapped model.
 #[derive(Clone, Debug)]
-pub struct PlannedFaults<P> {
+pub struct PlannedFaults<F> {
     faulty: BTreeSet<ProcessId>,
-    plan: P,
-    /// Scratch buffer for batched fan-out decisions (reused per broadcast).
-    fates: Vec<Fate>,
+    model: F,
 }
 
-impl<P> PlannedFaults<P> {
-    /// A model corrupting `faulty` (from round 1), routing via `plan`.
-    pub fn new(faulty: impl IntoIterator<Item = ProcessId>, plan: P) -> Self {
+impl<F> PlannedFaults<F> {
+    /// A model corrupting `faulty` (from round 1), deciding via `model`.
+    pub fn new(faulty: impl IntoIterator<Item = ProcessId>, model: F) -> Self {
         PlannedFaults {
             faulty: faulty.into_iter().collect(),
-            plan,
-            fates: Vec::new(),
+            model,
         }
     }
-
-    /// The static fault set.
-    pub fn faulty(&self) -> &BTreeSet<ProcessId> {
-        &self.faulty
-    }
 }
 
-impl PlannedFaults<crate::plan::NoFaults> {
+impl PlannedFaults<NoFaults> {
     /// The fault-free model: nobody is corrupted, everything is delivered.
     pub fn none() -> Self {
-        PlannedFaults::new([], crate::plan::NoFaults)
+        PlannedFaults::new([], NoFaults)
     }
 }
 
-impl<M, P: OmissionPlan<M>> FaultModel<M> for PlannedFaults<P> {
+impl<M, F: FaultModel<M>> FaultModel<M> for PlannedFaults<F> {
     fn budget(&self) -> FaultBudget {
         FaultBudget::Static(self.faulty.clone())
     }
-
+    fn mode(&self) -> FaultMode {
+        self.model.mode()
+    }
+    fn begin_round(&mut self, view: ExecutionView<'_>) -> Vec<FaultDirective> {
+        self.model.begin_round(view)
+    }
+    fn reorders(&self) -> bool {
+        self.model.reorders()
+    }
+    fn schedule(&mut self, view: ExecutionView<'_>, queue: &mut [Envelope]) {
+        self.model.schedule(view, queue)
+    }
     fn route(
         &mut self,
         view: ExecutionView<'_>,
@@ -369,9 +367,8 @@ impl<M, P: OmissionPlan<M>> FaultModel<M> for PlannedFaults<P> {
         receiver: ProcessId,
         payload: &M,
     ) -> Routing<M> {
-        self.plan.fate(view.round, sender, receiver, payload).into()
+        self.model.route(view, sender, receiver, payload)
     }
-
     fn route_broadcast(
         &mut self,
         view: ExecutionView<'_>,
@@ -380,10 +377,7 @@ impl<M, P: OmissionPlan<M>> FaultModel<M> for PlannedFaults<P> {
         payload: &M,
         out: &mut Vec<Routing<M>>,
     ) {
-        self.fates.clear();
-        self.plan
-            .fate_broadcast(view.round, sender, mask, payload, &mut self.fates);
-        out.extend(self.fates.drain(..).map(Routing::from));
+        self.model.route_broadcast(view, sender, mask, payload, out)
     }
 }
 

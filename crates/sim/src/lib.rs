@@ -22,10 +22,11 @@
 //!   with `|ever-corrupted| ≤ t` accounting), per-message routing
 //!   (deliver / omit / **forge**), and optionally the within-round delivery
 //!   order (**message scheduling**). The unified [`Adversary`] builds on
-//!   it: the **omission** adversary of paper §3 (driven by an
-//!   [`OmissionPlan`], including the *isolation* plan of Definition 1), the
-//!   **Byzantine** adversary of §2 ([`ByzantineBehavior`]), the crash
-//!   adversary, **mixed** per-process assignments, and the adaptive family
+//!   it: the **omission** adversary of paper §3 (static plans such as the
+//!   *isolation* plan of Definition 1, [`IsolationPlan`], are fault models
+//!   themselves), the **Byzantine** adversary of §2
+//!   ([`ByzantineBehavior`]), the crash adversary ([`CrashPlan`]), **mixed**
+//!   per-process assignments, and the adaptive family
 //!   ([`AdaptiveWorstCase`], [`MobileOmission`], [`SchedulerOmission`],
 //!   [`ForgingFaults`]).
 //!
@@ -162,15 +163,11 @@ pub use fault::{
 pub use ids::{ProcessId, Round};
 pub use mailbox::{Inbox, Outbox, OutboxDrain, OutboxIntoIter, ReceiverMask, ReceiverMaskIter};
 pub use par::par_map;
-pub use plan::{
-    CrashPlan, DoubleIsolationPlan, Fate, FnPlan, IsolationPlan, NoFaults, OmissionPlan,
-    RandomOmissionPlan, TableOmissionPlan,
-};
+pub use plan::{CrashPlan, FnPlan, IsolationPlan, NoFaults, RandomOmissionPlan, TableOmissionPlan};
 pub use protocol::{ProcessCtx, Protocol};
 pub use rng::SimRng;
 pub use scenario::{
-    Adversary, BoxedBehavior, BoxedFaultModel, BoxedPlan, ProtocolScenario, Scenario,
-    ScenarioResult,
+    Adversary, BoxedBehavior, BoxedFaultModel, ProtocolScenario, Scenario, ScenarioResult,
 };
 pub use sink::{
     CompressedTrace, FingerprintSink, Fingerprinted, FullTrace, RunSummary, StatsSink, TraceMode,

@@ -1,127 +1,48 @@
-//! Omission adversaries: per-message fate decisions.
+//! Static adversaries: fault models that route each message from its round
+//! and endpoints alone.
 //!
 //! The omission failure model (paper §3) lets the static adversary corrupt up
 //! to `t` processes that may *send-omit* or *receive-omit* messages while
-//! otherwise following their state machine. An [`OmissionPlan`] encodes the
-//! adversary's strategy as a function from `(round, sender, receiver,
-//! payload)` to a [`Fate`]. The executor enforces *omission-validity*: a fate
-//! other than [`Fate::Deliver`] is only legal if the blamed process is in the
-//! execution's fault set.
+//! otherwise following their state machine. Every plan here is a
+//! [`FaultModel`] that corrupts a fixed set from round 1 on: it reads
+//! [`ExecutionView::round`] and returns a [`Routing`], and its
+//! [`budget`](FaultModel::budget) is the [`FaultBudget::Static`] set of
+//! processes it can blame. The executor enforces *omission-validity*: a
+//! routing other than [`Routing::Deliver`] is only legal if the blamed
+//! process is corrupted. [`PlannedFaults`](crate::PlannedFaults) declares a
+//! different fault set around any plan.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use crate::execution::FaultMode;
+use crate::fault::{ExecutionView, FaultBudget, FaultModel, Routing};
 use crate::ids::{ProcessId, Round};
 use crate::mailbox::ReceiverMask;
 use crate::rng::SimRng;
 use crate::value::Payload;
 
-/// What happens to one message in transit.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Fate {
-    /// The message is sent and received normally.
-    Deliver,
-    /// The (faulty) sender omits sending: the message appears in the
-    /// sender's `send_omitted` set and the receiver never sees it.
-    SendOmit,
-    /// The message is sent, but the (faulty) receiver omits receiving it: it
-    /// appears in the sender's `sent` set and the receiver's
-    /// `receive_omitted` set.
-    ReceiveOmit,
-}
-
-impl Fate {
-    /// Which process is blamed for a non-delivery, if any.
-    pub fn blamed(self, sender: ProcessId, receiver: ProcessId) -> Option<ProcessId> {
-        match self {
-            Fate::Deliver => None,
-            Fate::SendOmit => Some(sender),
-            Fate::ReceiveOmit => Some(receiver),
-        }
-    }
-}
-
-/// An omission-adversary strategy.
-///
-/// `fate` is consulted once for every message the protocol emits, in a
-/// deterministic order (ascending round, then sender, then receiver), so
-/// stateful plans (e.g. seeded random plans) are reproducible.
-pub trait OmissionPlan<M> {
-    /// Decides the fate of the message `payload` sent from `sender` to
-    /// `receiver` in `round`.
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &M) -> Fate;
-
-    /// Decides a whole broadcast fan-out at once: pushes exactly one [`Fate`]
-    /// per mask bit into `out`, in ascending receiver order. The default
-    /// defers to [`fate`](OmissionPlan::fate) per receiver; structured plans
-    /// (fault-free, isolation) override it to decide the fan-out without a
-    /// per-receiver membership test. Must be decision-for-decision identical
-    /// to the per-receiver path — the engine's bit-for-bit equivalence
-    /// guarantees rest on it.
-    fn fate_broadcast(
-        &mut self,
-        round: Round,
-        sender: ProcessId,
-        mask: &ReceiverMask,
-        payload: &M,
-        out: &mut Vec<Fate>,
-    ) {
-        out.extend(
-            mask.iter()
-                .map(|receiver| self.fate(round, sender, receiver, payload)),
-        );
-    }
-}
-
-impl<M, T: OmissionPlan<M> + ?Sized> OmissionPlan<M> for &mut T {
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &M) -> Fate {
-        (**self).fate(round, sender, receiver, payload)
-    }
-    fn fate_broadcast(
-        &mut self,
-        round: Round,
-        sender: ProcessId,
-        mask: &ReceiverMask,
-        payload: &M,
-        out: &mut Vec<Fate>,
-    ) {
-        (**self).fate_broadcast(round, sender, mask, payload, out)
-    }
-}
-
-impl<M, T: OmissionPlan<M> + ?Sized> OmissionPlan<M> for Box<T> {
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &M) -> Fate {
-        (**self).fate(round, sender, receiver, payload)
-    }
-    fn fate_broadcast(
-        &mut self,
-        round: Round,
-        sender: ProcessId,
-        mask: &ReceiverMask,
-        payload: &M,
-        out: &mut Vec<Fate>,
-    ) {
-        (**self).fate_broadcast(round, sender, mask, payload, out)
-    }
-}
-
 /// The fault-free plan: every message is delivered.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct NoFaults;
 
-impl<M> OmissionPlan<M> for NoFaults {
-    fn fate(&mut self, _: Round, _: ProcessId, _: ProcessId, _: &M) -> Fate {
-        Fate::Deliver
+impl<M> FaultModel<M> for NoFaults {
+    fn budget(&self) -> FaultBudget {
+        FaultBudget::Static(BTreeSet::new())
     }
 
-    fn fate_broadcast(
+    fn route(&mut self, _: ExecutionView<'_>, _: ProcessId, _: ProcessId, _: &M) -> Routing<M> {
+        Routing::Deliver
+    }
+
+    fn route_broadcast(
         &mut self,
-        _: Round,
+        _: ExecutionView<'_>,
         _: ProcessId,
         mask: &ReceiverMask,
         _: &M,
-        out: &mut Vec<Fate>,
+        out: &mut Vec<Routing<M>>,
     ) {
-        out.resize(out.len() + mask.len(), Fate::Deliver);
+        out.resize_with(out.len() + mask.len(), || Routing::Deliver);
     }
 }
 
@@ -132,15 +53,21 @@ impl<M> OmissionPlan<M> for NoFaults {
 /// processes outside `G` in rounds `≥ k`.
 ///
 /// ```
-/// use ba_sim::{IsolationPlan, OmissionPlan, Fate, ProcessId, Round};
+/// use std::collections::BTreeSet;
+/// use ba_sim::{ExecutionView, FaultModel, IsolationPlan, ProcessId, Round, Routing};
+/// let none = BTreeSet::new();
+/// let at = |round| ExecutionView {
+///     round: Round(round), n: 4, t: 2, corrupted: &none, charged: &none,
+///     sent: &[0; 4], delivered: &[0; 4],
+/// };
 /// let mut plan = IsolationPlan::new([ProcessId(2), ProcessId(3)], Round(2));
 /// // Round 1: everything delivered.
-/// assert_eq!(plan.fate(Round(1), ProcessId(0), ProcessId(2), &()), Fate::Deliver);
+/// assert_eq!(plan.route(at(1), ProcessId(0), ProcessId(2), &()), Routing::Deliver);
 /// // Round 2 onward: messages from outside the group are receive-omitted…
-/// assert_eq!(plan.fate(Round(2), ProcessId(0), ProcessId(2), &()), Fate::ReceiveOmit);
+/// assert_eq!(plan.route(at(2), ProcessId(0), ProcessId(2), &()), Routing::ReceiveOmit);
 /// // …but intra-group traffic and traffic to the outside still flow.
-/// assert_eq!(plan.fate(Round(5), ProcessId(3), ProcessId(2), &()), Fate::Deliver);
-/// assert_eq!(plan.fate(Round(5), ProcessId(2), ProcessId(0), &()), Fate::Deliver);
+/// assert_eq!(plan.route(at(5), ProcessId(3), ProcessId(2), &()), Routing::Deliver);
+/// assert_eq!(plan.route(at(5), ProcessId(2), ProcessId(0), &()), Routing::Deliver);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct IsolationPlan {
@@ -156,119 +83,88 @@ impl IsolationPlan {
             from,
         }
     }
-
-    /// The isolated group.
-    pub fn group(&self) -> &BTreeSet<ProcessId> {
-        &self.group
-    }
-
-    /// The first round in which the group drops outside messages.
-    pub fn from_round(&self) -> Round {
-        self.from
-    }
 }
 
-impl<M> OmissionPlan<M> for IsolationPlan {
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, _: &M) -> Fate {
-        if round >= self.from && self.group.contains(&receiver) && !self.group.contains(&sender) {
-            Fate::ReceiveOmit
+impl<M> FaultModel<M> for IsolationPlan {
+    fn budget(&self) -> FaultBudget {
+        FaultBudget::Static(self.group.clone())
+    }
+
+    fn route(
+        &mut self,
+        view: ExecutionView<'_>,
+        sender: ProcessId,
+        receiver: ProcessId,
+        _: &M,
+    ) -> Routing<M> {
+        if view.round >= self.from
+            && self.group.contains(&receiver)
+            && !self.group.contains(&sender)
+        {
+            Routing::ReceiveOmit
         } else {
-            Fate::Deliver
+            Routing::Deliver
         }
     }
 
-    fn fate_broadcast(
+    fn route_broadcast(
         &mut self,
-        round: Round,
+        view: ExecutionView<'_>,
         sender: ProcessId,
         mask: &ReceiverMask,
         _: &M,
-        out: &mut Vec<Fate>,
+        out: &mut Vec<Routing<M>>,
     ) {
         // Pre-fill Deliver, then patch the (few) isolated receivers by rank:
         // O(fan-out + |group|) instead of a set lookup per receiver.
         let base = out.len();
-        out.resize(base + mask.len(), Fate::Deliver);
-        if round < self.from || self.group.contains(&sender) {
+        out.resize_with(base + mask.len(), || Routing::Deliver);
+        if view.round < self.from || self.group.contains(&sender) {
             return;
         }
         for &p in &self.group {
             if let Some(rank) = mask.rank(p) {
-                out[base + rank] = Fate::ReceiveOmit;
+                out[base + rank] = Routing::ReceiveOmit;
             }
         }
     }
 }
 
-/// Two groups isolated independently — the shape of the paper's merged
-/// execution `E^{B(k_1), C(k_2)}` (Figure 2) when driven directly as an
-/// omission plan.
+/// An explicit table of exceptions over a default of [`Routing::Deliver`].
 ///
-/// Note that the *proof's* merged execution is constructed by re-running the
-/// two original executions' behaviors (`ba-core`'s `merge`); this plan
-/// produces the same execution only because the protocols are deterministic,
-/// and it is used for cross-validation and direct experiments.
+/// Useful for hand-crafted counterexample executions in tests. It can blame
+/// the processes its omissions name, and charges the sender of each
+/// [`Routing::Forge`] entry (a table with one is stamped
+/// [`FaultMode::Byzantine`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct DoubleIsolationPlan {
-    first: IsolationPlan,
-    second: IsolationPlan,
+pub struct TableOmissionPlan<M> {
+    entries: BTreeMap<(Round, ProcessId, ProcessId), Routing<M>>,
 }
 
-impl DoubleIsolationPlan {
-    /// Isolates `b` from round `kb` and `c` from round `kc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two groups intersect.
-    pub fn new(b: IsolationPlan, c: IsolationPlan) -> Self {
-        assert!(
-            b.group().is_disjoint(c.group()),
-            "isolated groups must be disjoint"
-        );
-        DoubleIsolationPlan {
-            first: b,
-            second: c,
-        }
-    }
-
-    /// The two constituent isolation plans.
-    pub fn parts(&self) -> (&IsolationPlan, &IsolationPlan) {
-        (&self.first, &self.second)
-    }
-}
-
-impl<M> OmissionPlan<M> for DoubleIsolationPlan {
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &M) -> Fate {
-        match self.first.fate(round, sender, receiver, payload) {
-            Fate::Deliver => self.second.fate(round, sender, receiver, payload),
-            other => other,
+impl<M> Default for TableOmissionPlan<M> {
+    fn default() -> Self {
+        TableOmissionPlan {
+            entries: BTreeMap::new(),
         }
     }
 }
 
-/// An explicit table of exceptions over a default of [`Fate::Deliver`].
-///
-/// Useful for hand-crafted counterexample executions in tests.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct TableOmissionPlan {
-    entries: BTreeMap<(Round, ProcessId, ProcessId), Fate>,
-}
-
-impl TableOmissionPlan {
+impl<M> TableOmissionPlan<M> {
     /// Creates an empty table (all messages delivered).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Sets the fate of the message from `sender` to `receiver` in `round`.
+    /// Sets the routing of the message from `sender` to `receiver` in
+    /// `round`.
     pub fn set(
         &mut self,
         round: Round,
         sender: ProcessId,
         receiver: ProcessId,
-        fate: Fate,
+        routing: Routing<M>,
     ) -> &mut Self {
-        self.entries.insert((round, sender, receiver), fate);
+        self.entries.insert((round, sender, receiver), routing);
         self
     }
 
@@ -283,20 +179,50 @@ impl TableOmissionPlan {
     }
 }
 
-impl<M> OmissionPlan<M> for TableOmissionPlan {
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, _: &M) -> Fate {
+impl<M: Payload> FaultModel<M> for TableOmissionPlan<M> {
+    fn budget(&self) -> FaultBudget {
+        FaultBudget::Static(
+            self.entries
+                .iter()
+                .filter_map(|(&(_, sender, receiver), routing)| match routing {
+                    Routing::Forge(_) => Some(sender),
+                    omission => omission.blamed(sender, receiver),
+                })
+                .collect(),
+        )
+    }
+
+    fn mode(&self) -> FaultMode {
+        if self
+            .entries
+            .values()
+            .any(|r| matches!(r, Routing::Forge(_)))
+        {
+            FaultMode::Byzantine
+        } else {
+            FaultMode::Omission
+        }
+    }
+
+    fn route(
+        &mut self,
+        view: ExecutionView<'_>,
+        sender: ProcessId,
+        receiver: ProcessId,
+        _: &M,
+    ) -> Routing<M> {
         self.entries
-            .get(&(round, sender, receiver))
-            .copied()
-            .unwrap_or(Fate::Deliver)
+            .get(&(view.round, sender, receiver))
+            .cloned()
+            .unwrap_or(Routing::Deliver)
     }
 }
 
 /// A seeded random omission adversary: every message touching a faulty
 /// process is dropped with the configured probabilities.
 ///
-/// Deterministic for a fixed seed because the executor consults plans in a
-/// deterministic message order. Used for failure-injection testing.
+/// Deterministic for a fixed seed because the executor routes messages in a
+/// deterministic order. Used for failure-injection testing.
 #[derive(Clone, Debug)]
 pub struct RandomOmissionPlan {
     faulty: BTreeSet<ProcessId>,
@@ -335,21 +261,26 @@ impl RandomOmissionPlan {
             rng: SimRng::seed_from_u64(seed),
         }
     }
-
-    /// The corrupted processes this plan may blame.
-    pub fn faulty(&self) -> &BTreeSet<ProcessId> {
-        &self.faulty
-    }
 }
 
-impl<M> OmissionPlan<M> for RandomOmissionPlan {
-    fn fate(&mut self, _: Round, sender: ProcessId, receiver: ProcessId, _: &M) -> Fate {
+impl<M> FaultModel<M> for RandomOmissionPlan {
+    fn budget(&self) -> FaultBudget {
+        FaultBudget::Static(self.faulty.clone())
+    }
+
+    fn route(
+        &mut self,
+        _: ExecutionView<'_>,
+        sender: ProcessId,
+        receiver: ProcessId,
+        _: &M,
+    ) -> Routing<M> {
         if self.faulty.contains(&sender) && self.rng.gen_bool(self.p_send_omit) {
-            Fate::SendOmit
+            Routing::SendOmit
         } else if self.faulty.contains(&receiver) && self.rng.gen_bool(self.p_receive_omit) {
-            Fate::ReceiveOmit
+            Routing::ReceiveOmit
         } else {
-            Fate::Deliver
+            Routing::Deliver
         }
     }
 }
@@ -364,11 +295,17 @@ impl<M> OmissionPlan<M> for RandomOmissionPlan {
 /// paper's lower-bound proof draws on.
 ///
 /// ```
-/// use ba_sim::{CrashPlan, OmissionPlan, Fate, ProcessId, Round};
+/// use std::collections::BTreeSet;
+/// use ba_sim::{CrashPlan, ExecutionView, FaultModel, ProcessId, Round, Routing};
+/// let none = BTreeSet::new();
+/// let at = |round| ExecutionView {
+///     round: Round(round), n: 3, t: 1, corrupted: &none, charged: &none,
+///     sent: &[0; 3], delivered: &[0; 3],
+/// };
 /// let mut plan = CrashPlan::new([(ProcessId(1), Round(2))]);
-/// assert_eq!(plan.fate(Round(1), ProcessId(1), ProcessId(0), &()), Fate::Deliver);
-/// assert_eq!(plan.fate(Round(2), ProcessId(1), ProcessId(0), &()), Fate::SendOmit);
-/// assert_eq!(plan.fate(Round(3), ProcessId(0), ProcessId(1), &()), Fate::ReceiveOmit);
+/// assert_eq!(plan.route(at(1), ProcessId(1), ProcessId(0), &()), Routing::Deliver);
+/// assert_eq!(plan.route(at(2), ProcessId(1), ProcessId(0), &()), Routing::SendOmit);
+/// assert_eq!(plan.route(at(3), ProcessId(0), ProcessId(1), &()), Routing::ReceiveOmit);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct CrashPlan {
@@ -383,45 +320,65 @@ impl CrashPlan {
             crashes: crashes.into_iter().collect(),
         }
     }
-
-    /// The processes this plan crashes (all must be in the execution's
-    /// fault set).
-    pub fn crashed(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.crashes.keys().copied()
-    }
 }
 
-impl<M> OmissionPlan<M> for CrashPlan {
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, _: &M) -> Fate {
-        if self.crashes.get(&sender).is_some_and(|r| round >= *r) {
-            Fate::SendOmit
-        } else if self.crashes.get(&receiver).is_some_and(|r| round >= *r) {
-            Fate::ReceiveOmit
+impl<M> FaultModel<M> for CrashPlan {
+    fn budget(&self) -> FaultBudget {
+        FaultBudget::Static(self.crashes.keys().copied().collect())
+    }
+
+    fn route(
+        &mut self,
+        view: ExecutionView<'_>,
+        sender: ProcessId,
+        receiver: ProcessId,
+        _: &M,
+    ) -> Routing<M> {
+        let crashed = |p: ProcessId| self.crashes.get(&p).is_some_and(|r| view.round >= *r);
+        if crashed(sender) {
+            Routing::SendOmit
+        } else if crashed(receiver) {
+            Routing::ReceiveOmit
         } else {
-            Fate::Deliver
+            Routing::Deliver
         }
     }
 }
 
-/// Adapts a closure into an [`OmissionPlan`].
+/// Adapts a closure `(round, sender, receiver, payload) → Routing` into a
+/// [`FaultModel`].
+///
+/// It declares no faulty processes, so wrap it in
+/// [`Adversary::omission`](crate::Adversary::omission) (or
+/// [`PlannedFaults`](crate::PlannedFaults)) with the processes it blames.
 ///
 /// ```
-/// use ba_sim::{FnPlan, OmissionPlan, Fate, ProcessId, Round};
-/// let mut drop_all_to_p0 = FnPlan(|_round, _s, r: ProcessId, _m: &u8| {
-///     if r == ProcessId(0) { Fate::ReceiveOmit } else { Fate::Deliver }
+/// use ba_sim::{Adversary, Bit, FnPlan, ProcessId, Routing};
+/// let drop_all_to_p0 = FnPlan(|_round, _s, r: ProcessId, _m: &u8| {
+///     if r == ProcessId(0) { Routing::ReceiveOmit } else { Routing::Deliver }
 /// });
-/// assert_eq!(drop_all_to_p0.fate(Round(1), ProcessId(1), ProcessId(0), &3), Fate::ReceiveOmit);
+/// let adversary: Adversary<'_, Bit, u8> = Adversary::omission([ProcessId(0)], drop_all_to_p0);
+/// assert_eq!(adversary.faulty_set(), [ProcessId(0)].into_iter().collect());
 /// ```
 #[derive(Clone, Debug)]
 pub struct FnPlan<F>(pub F);
 
-impl<M, F> OmissionPlan<M> for FnPlan<F>
+impl<M, F> FaultModel<M> for FnPlan<F>
 where
-    F: FnMut(Round, ProcessId, ProcessId, &M) -> Fate,
-    M: Payload,
+    F: FnMut(Round, ProcessId, ProcessId, &M) -> Routing<M>,
 {
-    fn fate(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &M) -> Fate {
-        (self.0)(round, sender, receiver, payload)
+    fn budget(&self) -> FaultBudget {
+        FaultBudget::Static(BTreeSet::new())
+    }
+
+    fn route(
+        &mut self,
+        view: ExecutionView<'_>,
+        sender: ProcessId,
+        receiver: ProcessId,
+        payload: &M,
+    ) -> Routing<M> {
+        (self.0)(view.round, sender, receiver, payload)
     }
 }
 
@@ -429,99 +386,68 @@ where
 mod tests {
     use super::*;
 
-    #[test]
-    fn fate_blames_the_right_process() {
-        let (s, r) = (ProcessId(1), ProcessId(2));
-        assert_eq!(Fate::Deliver.blamed(s, r), None);
-        assert_eq!(Fate::SendOmit.blamed(s, r), Some(s));
-        assert_eq!(Fate::ReceiveOmit.blamed(s, r), Some(r));
+    /// Routes one `u8` message in `round` of a 3-process system.
+    fn route<P: FaultModel<u8>>(
+        plan: &mut P,
+        round: u64,
+        sender: usize,
+        receiver: usize,
+    ) -> Routing<u8> {
+        let none = BTreeSet::new();
+        let view = ExecutionView {
+            round: Round(round),
+            n: 3,
+            t: 1,
+            corrupted: &none,
+            charged: &none,
+            sent: &[0; 3],
+            delivered: &[0; 3],
+        };
+        plan.route(view, ProcessId(sender), ProcessId(receiver), &0)
     }
 
     #[test]
     fn isolation_blocks_only_inbound_cross_group_after_start() {
         let mut plan = IsolationPlan::new([ProcessId(1)], Round(3));
+        assert_eq!(
+            FaultModel::<u8>::budget(&plan),
+            FaultBudget::Static([ProcessId(1)].into_iter().collect())
+        );
         // Before the start round everything is delivered.
-        assert_eq!(
-            plan.fate(Round(2), ProcessId(0), ProcessId(1), &()),
-            Fate::Deliver
-        );
+        assert_eq!(route(&mut plan, 2, 0, 1), Routing::Deliver);
         // From the start round, inbound cross-group messages are dropped.
-        assert_eq!(
-            plan.fate(Round(3), ProcessId(0), ProcessId(1), &()),
-            Fate::ReceiveOmit
-        );
-        assert_eq!(
-            plan.fate(Round(9), ProcessId(2), ProcessId(1), &()),
-            Fate::ReceiveOmit
-        );
+        assert_eq!(route(&mut plan, 3, 0, 1), Routing::ReceiveOmit);
+        assert_eq!(route(&mut plan, 9, 2, 1), Routing::ReceiveOmit);
         // The isolated group never send-omits.
-        assert_eq!(
-            plan.fate(Round(9), ProcessId(1), ProcessId(0), &()),
-            Fate::Deliver
-        );
-    }
-
-    #[test]
-    fn double_isolation_combines_independent_groups() {
-        let b = IsolationPlan::new([ProcessId(1)], Round(2));
-        let c = IsolationPlan::new([ProcessId(2)], Round(4));
-        let mut plan = DoubleIsolationPlan::new(b, c);
-        assert_eq!(
-            plan.fate(Round(2), ProcessId(0), ProcessId(1), &()),
-            Fate::ReceiveOmit
-        );
-        assert_eq!(
-            plan.fate(Round(2), ProcessId(0), ProcessId(2), &()),
-            Fate::Deliver
-        );
-        assert_eq!(
-            plan.fate(Round(4), ProcessId(0), ProcessId(2), &()),
-            Fate::ReceiveOmit
-        );
-        // Cross-isolated-group traffic is blocked for the receiver's group.
-        assert_eq!(
-            plan.fate(Round(4), ProcessId(1), ProcessId(2), &()),
-            Fate::ReceiveOmit
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "disjoint")]
-    fn double_isolation_rejects_overlap() {
-        let b = IsolationPlan::new([ProcessId(1)], Round(1));
-        let c = IsolationPlan::new([ProcessId(1)], Round(2));
-        let _ = DoubleIsolationPlan::new(b, c);
+        assert_eq!(route(&mut plan, 9, 1, 0), Routing::Deliver);
     }
 
     #[test]
     fn table_plan_defaults_to_deliver() {
         let mut plan = TableOmissionPlan::new();
-        plan.set(Round(1), ProcessId(0), ProcessId(1), Fate::SendOmit);
-        assert_eq!(
-            OmissionPlan::<u8>::fate(&mut plan, Round(1), ProcessId(0), ProcessId(1), &0),
-            Fate::SendOmit
-        );
-        assert_eq!(
-            OmissionPlan::<u8>::fate(&mut plan, Round(2), ProcessId(0), ProcessId(1), &0),
-            Fate::Deliver
-        );
+        plan.set(Round(1), ProcessId(0), ProcessId(1), Routing::SendOmit);
+        assert_eq!(route(&mut plan, 1, 0, 1), Routing::SendOmit);
+        assert_eq!(route(&mut plan, 2, 0, 1), Routing::Deliver);
         assert_eq!(plan.len(), 1);
+        assert_eq!(
+            plan.budget(),
+            FaultBudget::Static([ProcessId(0)].into_iter().collect())
+        );
+        assert_eq!(plan.mode(), FaultMode::Omission);
+        plan.set(Round(1), ProcessId(2), ProcessId(1), Routing::Forge(7));
+        assert_eq!(
+            plan.budget(),
+            FaultBudget::Static([ProcessId(0), ProcessId(2)].into_iter().collect())
+        );
+        assert_eq!(plan.mode(), FaultMode::Byzantine);
     }
 
     #[test]
     fn random_plan_is_deterministic_per_seed() {
-        let observe = |seed: u64| -> Vec<Fate> {
+        let observe = |seed: u64| -> Vec<Routing<u8>> {
             let mut plan = RandomOmissionPlan::new([ProcessId(0)], 0.5, 0.5, seed);
             (0..32)
-                .map(|i| {
-                    OmissionPlan::<u8>::fate(
-                        &mut plan,
-                        Round(1),
-                        ProcessId(i % 3),
-                        ProcessId((i + 1) % 3),
-                        &0,
-                    )
-                })
+                .map(|i| route(&mut plan, 1, i % 3, (i + 1) % 3))
                 .collect()
         };
         assert_eq!(observe(7), observe(7));
@@ -536,14 +462,8 @@ mod tests {
     fn random_plan_never_blames_correct_processes() {
         let mut plan = RandomOmissionPlan::new([ProcessId(2)], 1.0, 1.0, 3);
         // Message between two correct processes is always delivered.
-        assert_eq!(
-            OmissionPlan::<u8>::fate(&mut plan, Round(1), ProcessId(0), ProcessId(1), &0),
-            Fate::Deliver
-        );
+        assert_eq!(route(&mut plan, 1, 0, 1), Routing::Deliver);
         // Faulty sender always send-omits at p = 1.
-        assert_eq!(
-            OmissionPlan::<u8>::fate(&mut plan, Round(1), ProcessId(2), ProcessId(1), &0),
-            Fate::SendOmit
-        );
+        assert_eq!(route(&mut plan, 1, 2, 1), Routing::SendOmit);
     }
 }

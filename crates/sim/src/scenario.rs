@@ -22,13 +22,10 @@ use crate::fault::{
     SchedulerOmission,
 };
 use crate::ids::{ProcessId, Round};
-use crate::plan::{CrashPlan, IsolationPlan, OmissionPlan};
+use crate::plan::{CrashPlan, IsolationPlan, NoFaults};
 use crate::protocol::Protocol;
 use crate::sink::{FullTrace, StatsSink, TraceMode, TraceSink};
 use crate::value::{Payload, Value};
-
-/// A boxed omission strategy, as accepted by [`Adversary::omission`].
-pub type BoxedPlan<'a, M> = Box<dyn OmissionPlan<M> + 'a>;
 
 /// A boxed fault model, as stored in an [`Adversary`].
 pub type BoxedFaultModel<'a, M> = Box<dyn FaultModel<M> + 'a>;
@@ -47,14 +44,17 @@ pub type BoxedBehavior<'a, I, M> = Box<dyn ByzantineBehavior<I, M> + 'a>;
 /// process slots, plus an execution-observing [`FaultModel`] deciding
 /// corruption and routing.
 ///
-/// Formerly a closed enum; now **constructors over the [`FaultModel`]
-/// trait**. The legacy flavors — the paper's omission adversary (§3),
-/// Byzantine adversary (§2), the crash adversary, and **mixed** per-process
-/// assignments — build canned [`PlannedFaults`] models and behave
-/// bit-identically to the enum they replace, while the adaptive regime
-/// ([`Adversary::adaptive_worst_case`], [`Adversary::mobile`],
-/// [`Adversary::scheduler`], [`Adversary::forge`], and arbitrary
-/// [`Adversary::model`]s) plugs into the same execution engine.
+/// Every constructor wraps one [`FaultModel`]. The static flavors — the
+/// paper's omission adversary (§3) with the isolation plan of Definition 1,
+/// the crash adversary, the Byzantine adversary (§2) and **mixed**
+/// per-process assignments — pass a plan ([`IsolationPlan`], [`CrashPlan`],
+/// …) to [`Adversary::model`], or declare a fault set around it with
+/// [`PlannedFaults`]; the adaptive regime ([`Adversary::adaptive_worst_case`],
+/// [`Adversary::mobile`], [`Adversary::scheduler`], [`Adversary::forge`],
+/// and arbitrary [`Adversary::model`]s) plugs into the same execution
+/// engine. [`ByzantineBehavior`]s stay a separate input: they replace a
+/// process's state machine, so they can send where the honest machine is
+/// silent, which per-message routing cannot express.
 pub struct Adversary<'a, I, M> {
     behaviors: BTreeMap<ProcessId, BoxedBehavior<'a, I, M>>,
     model: BoxedFaultModel<'a, M>,
@@ -67,37 +67,27 @@ pub struct Adversary<'a, I, M> {
 impl<'a, I: Value, M: Payload> Adversary<'a, I, M> {
     /// The fault-free adversary.
     pub fn none() -> Self {
-        Adversary {
-            behaviors: BTreeMap::new(),
-            model: Box::new(PlannedFaults::none()),
-            mode: FaultMode::Omission,
-            conflict: None,
-        }
+        Adversary::model(NoFaults)
     }
 
-    /// An omission adversary corrupting `faulty`, driven by `plan`.
+    /// An omission adversary corrupting `faulty`, driven by `plan` (which
+    /// may blame only members of `faulty`).
     pub fn omission(
         faulty: impl IntoIterator<Item = ProcessId>,
-        plan: impl OmissionPlan<M> + 'a,
+        plan: impl FaultModel<M> + 'a,
     ) -> Self {
-        Adversary {
-            behaviors: BTreeMap::new(),
-            model: Box::new(PlannedFaults::new(faulty, plan)),
-            mode: FaultMode::Omission,
-            conflict: None,
-        }
+        Adversary::model(PlannedFaults::new(faulty, plan))
     }
 
     /// Group isolation (paper Definition 1): `group` is faulty and
     /// receive-omits all outside traffic from round `from` on.
-    pub fn isolation(group: impl IntoIterator<Item = ProcessId> + Clone, from: Round) -> Self {
-        Adversary::omission(group.clone(), IsolationPlan::new(group, from))
+    pub fn isolation(group: impl IntoIterator<Item = ProcessId>, from: Round) -> Self {
+        Adversary::model(IsolationPlan::new(group, from))
     }
 
     /// The crash adversary: each listed process crash-stops at its round.
-    pub fn crash(crashes: impl IntoIterator<Item = (ProcessId, Round)> + Clone) -> Self {
-        let faulty: Vec<ProcessId> = crashes.clone().into_iter().map(|(p, _)| p).collect();
-        Adversary::omission(faulty, CrashPlan::new(crashes))
+    pub fn crash(crashes: impl IntoIterator<Item = (ProcessId, Round)>) -> Self {
+        Adversary::model(CrashPlan::new(crashes))
     }
 
     /// A Byzantine adversary with the given per-process behaviors.
@@ -109,7 +99,7 @@ impl<'a, I: Value, M: Payload> Adversary<'a, I, M> {
         let keys: Vec<ProcessId> = behaviors.keys().copied().collect();
         Adversary {
             behaviors,
-            model: Box::new(PlannedFaults::new(keys, crate::plan::NoFaults)),
+            model: Box::new(PlannedFaults::new(keys, NoFaults)),
             mode: FaultMode::Byzantine,
             conflict: None,
         }
@@ -126,7 +116,7 @@ impl<'a, I: Value, M: Payload> Adversary<'a, I, M> {
     pub fn mixed(
         behaviors: impl IntoIterator<Item = (ProcessId, BoxedBehavior<'a, I, M>)>,
         omission_faulty: impl IntoIterator<Item = ProcessId>,
-        plan: impl OmissionPlan<M> + 'a,
+        plan: impl FaultModel<M> + 'a,
     ) -> Self {
         let behaviors: BTreeMap<ProcessId, BoxedBehavior<'a, I, M>> =
             behaviors.into_iter().collect();
@@ -512,9 +502,10 @@ where
 mod tests {
     use super::*;
     use crate::byzantine::SilentByzantine;
+    use crate::fault::Routing;
     use crate::ids::Round;
     use crate::mailbox::{Inbox, Outbox};
-    use crate::plan::{Fate, NoFaults, TableOmissionPlan};
+    use crate::plan::TableOmissionPlan;
     use crate::protocol::ProcessCtx;
     use crate::value::Bit;
 
@@ -651,7 +642,7 @@ mod tests {
         // API could not express this.
         let mut plan = TableOmissionPlan::new();
         for receiver in [ProcessId(0), ProcessId(1), ProcessId(3)] {
-            plan.set(Round(1), ProcessId(2), receiver, Fate::SendOmit);
+            plan.set(Round(1), ProcessId(2), receiver, Routing::SendOmit);
         }
         let exec = Scenario::new(4, 2)
             .protocol(|_| Chatter::new(3, 3))
@@ -758,10 +749,10 @@ mod tests {
 
     #[test]
     fn plans_can_be_passed_by_mutable_reference() {
-        // `&mut P` implements `OmissionPlan`, so a caller can keep the plan
+        // `&mut P` implements `FaultModel`, so a caller can keep the plan
         // and inspect it after the run.
         let mut plan = TableOmissionPlan::new();
-        plan.set(Round(1), ProcessId(2), ProcessId(0), Fate::SendOmit);
+        plan.set(Round(1), ProcessId(2), ProcessId(0), Routing::SendOmit);
         let exec = Scenario::new(3, 1)
             .protocol(|_| Chatter::new(3, 3))
             .uniform_input(Bit::Zero)

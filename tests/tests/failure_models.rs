@@ -8,7 +8,9 @@
 use ba_check::{check, CheckSpec};
 use ba_core::lowerbound::{falsify, FalsifierConfig, Verdict};
 use ba_protocols::FloodSet;
-use ba_sim::{Adversary, Bit, ExecutorConfig, Fate, ProcessId, Round, Scenario, TableOmissionPlan};
+use ba_sim::{
+    Adversary, Bit, ExecutorConfig, ProcessId, Round, Routing, Scenario, TableOmissionPlan,
+};
 use ba_tests::{assert_agreement, assert_certificate, correct_decisions, uniform};
 
 #[test]
@@ -47,7 +49,7 @@ fn floodset_breaks_under_omission_sandbagging() {
                     Round(round),
                     ProcessId(4),
                     ProcessId(receiver),
-                    Fate::SendOmit,
+                    Routing::SendOmit,
                 );
             }
         }

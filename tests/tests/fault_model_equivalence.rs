@@ -6,7 +6,9 @@
 //! mixed — produces **bit-identical** `Execution`s and `ScenarioStats`
 //! whether built through the legacy constructor sugar or through an
 //! explicitly assembled fault model (`PlannedFaults` + behaviors), for
-//! every protocol × trace mode.
+//! every protocol × trace mode. The static plans are fault models
+//! themselves, so a third side passes the isolation, crash and
+//! random-omission plans bare to `Adversary::model` and must match too.
 //!
 //! A second set of absolute pins guards against the refactor changing the
 //! recorded behavior itself (both sides of the equivalence drifting
@@ -97,6 +99,22 @@ fn explicit<M: ba_sim::Payload>(label: &str, n: usize, seed: u64) -> Adversary<'
     }
 }
 
+/// The flavor's plan passed bare to `Adversary::model`, for the flavors
+/// that are one plan: its own budget is the fault set.
+fn bare<M: ba_sim::Payload>(
+    label: &str,
+    n: usize,
+    seed: u64,
+) -> Option<Adversary<'static, Bit, M>> {
+    let last = ProcessId(n - 1);
+    Some(match label {
+        "isolation" => Adversary::model(IsolationPlan::new([last], Round(2))),
+        "crash" => Adversary::model(CrashPlan::new([(last, Round(2))])),
+        "random-omission" => Adversary::model(RandomOmissionPlan::new([last], 0.25, 0.25, seed)),
+        _ => return None,
+    })
+}
+
 fn assert_flavor_equivalent<P, F>(context: &str, n: usize, t: usize, factory: F)
 where
     P: Protocol<Input = Bit, Output = Bit>,
@@ -122,6 +140,10 @@ where
             .validate()
             .unwrap_or_else(|e| panic!("{ctx}: invalid execution: {e}"));
         assert_eq!(exec_sugar, exec_explicit, "{ctx}: executions diverged");
+        if let Some(adv) = bare(flavor, n, seed) {
+            let exec_bare = scenario(adv).run().unwrap();
+            assert_eq!(exec_sugar, exec_bare, "{ctx}: bare plan diverged");
+        }
 
         // Value-identical stats, per trace mode.
         for mode in [TraceMode::Stats, TraceMode::Full] {
@@ -137,6 +159,13 @@ where
                 stats_sugar, stats_explicit,
                 "{ctx} mode={mode:?}: stats diverged"
             );
+            if let Some(adv) = bare(flavor, n, seed) {
+                let stats_bare = scenario(adv).trace_mode(mode).run_report().unwrap();
+                assert_eq!(
+                    stats_sugar, stats_bare,
+                    "{ctx} mode={mode:?}: bare plan stats diverged"
+                );
+            }
             assert_eq!(
                 stats_sugar,
                 ScenarioStats::from_execution(&exec_sugar),

@@ -28,7 +28,7 @@ use ba_protocols::broken::{
 };
 use ba_protocols::{DolevStrong, FloodSet, PhaseKing};
 use ba_sim::{
-    Adversary, Bit, CampaignPoint, ExecutorConfig, Fate, ProcessId, Protocol, Round, Scenario,
+    Adversary, Bit, CampaignPoint, ExecutorConfig, ProcessId, Protocol, Round, Routing, Scenario,
     TableOmissionPlan,
 };
 
@@ -144,7 +144,7 @@ where
             Round(*round),
             corrupted,
             ProcessId(*receiver),
-            Fate::SendOmit,
+            Routing::SendOmit,
         );
     }
     let table = Scenario::config(&cfg)
