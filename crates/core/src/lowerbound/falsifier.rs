@@ -10,16 +10,25 @@
 //!    executions (`E_0` and its all-ones sibling) — also measuring `R_max`;
 //! 2. **Lemma 2** on every isolation execution: an isolated process that
 //!    disagrees with the correct processes and receive-omitted few messages
-//!    is made *correct* via [`swap_omission`], yielding a concrete
-//!    Agreement/Termination violation;
+//!    is made *correct* via [`swap_omission`](super::swap_omission),
+//!    yielding a concrete Agreement/Termination violation;
 //! 3. **Lemma 3** on the mergeable pairs `(E_B(1)_0, E_C(1)_0)` and
 //!    `(E_B(1)_0, E_C(1)_1)`: if group `A` decides differently, the
-//!    [`merge`]d execution plus step 2 produces the violation;
+//!    [`merge`](super::merge())d execution plus step 2 produces the violation;
 //! 4. **WLOG flip**: if the default bit is 0, the whole argument re-runs on
 //!    the [`BitFlipped`] protocol (Weak Validity is bit-symmetric);
 //! 5. **Lemma 4**: scan for the critical round `R` where `E_B(R)_0` decides
 //!    1 but `E_B(R+1)_0` decides 0;
 //! 6. **Lemma 5**: merge `E_B(R or R+1)_0` with `E_C(R)_0` and apply step 2.
+//!
+//! Each step reads only a few facts of the executions it constructs — who
+//! decided what, how many messages the correct processes sent, whom each
+//! isolated process receive-omitted from, and (for the merge) the isolated
+//! groups' inboxes — so every execution is recorded as an [`Outline`].
+//! An execution is re-run in full (the executor is deterministic) only to
+//! hand out a certificate, or when a disagreeing isolated process passes
+//! the fault budget of [`swap_omission`](super::swap_omission), the one
+//! case in which Lemma 2 can apply.
 //!
 //! Each produced [`Certificate`] carries the violating [`Execution`] and is
 //! independently re-checkable with [`Certificate::verify`]. When every step
@@ -41,18 +50,19 @@
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use ba_obs::{NoopRecorder, Recorder};
 use ba_sim::{
-    Bit, CompressedTrace, Execution, ExecutionInvariantError, ExecutorConfig, Outcomes, Payload,
-    PayloadArena, ProcessId, Protocol, Round, SimError,
+    Bit, Execution, ExecutionInvariantError, ExecutorConfig, FullTrace, Outcomes, Outline,
+    OutlineSink, Payload, ProcessId, Protocol, Round, SimError, TraceSink,
 };
 
 use super::family::{FamilyRunner, Partition};
 use super::flip::{unflip_execution, BitFlipped};
-use super::merge::{merge, MergeError};
-use super::swap::swap_omission;
+use super::merge::{merge_with, MergeError, RecordedInboxes};
+use super::swap::{omitting, swap_omission_among, swapped_fault_set};
 
 /// Parameters of a falsification run.
 #[derive(Clone)]
@@ -77,10 +87,11 @@ pub struct FalsifierConfig {
     /// concurrently within one orientation (`Some(choice)`), or decide by
     /// instance size (`None`, the default — the same
     /// [`FalsifierConfig::PARALLEL_WORK_THRESHOLD`] gate as orientations).
-    /// The precomputed executions are then replayed through the exact
-    /// sequential examination order, so verdicts, statistics, and
-    /// certificates are value-identical to the sequential scan; the only
-    /// trade-off is speculative work past the critical round.
+    /// The precomputed executions are held as [`Outline`]s (each keeps
+    /// only `B`'s inboxes) and replayed through the exact sequential
+    /// examination order, so verdicts, statistics, and certificates are
+    /// value-identical to the sequential scan; the only trade-off is
+    /// speculative work past the critical round.
     pub parallel_scan: Option<bool>,
     /// Telemetry sink for orientation/scan events (`None` = off).
     /// Observation-only: everything recorded is logical argument state
@@ -510,8 +521,9 @@ impl<'r> Stats<'r> {
         }
     }
 
-    fn observe<M: Payload>(&mut self, exec: &Execution<Bit, Bit, M>) {
-        let complexity = exec.message_complexity();
+    /// Counts one constructed execution of message complexity
+    /// `complexity`.
+    fn observe(&mut self, complexity: u64) {
         self.max_complexity = self.max_complexity.max(complexity);
         self.explored += 1;
         self.recorder.counter("falsifier.executions", 1, &[]);
@@ -565,28 +577,25 @@ where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P + Sync,
 {
+    // WLOG step: the whole argument also runs on the bit-flipped protocol.
+    let flipped_factory = |pid: ProcessId| BitFlipped::new(factory(pid));
+    let canonical = FamilyRunner::new(cfg.executor_config(), &factory, cfg.partition());
+    let flipped = FamilyRunner::new(cfg.executor_config(), &flipped_factory, cfg.partition());
     if !cfg.orientations_in_parallel() {
         let mut stats = Stats::new(cfg.telemetry());
-        if let Some(cert) = attempt(cfg, &factory, &mut stats, false)? {
+        if let Some(cert) = attempt(cfg, &canonical, &mut stats, false)? {
             return Ok(Verdict::Violation(cert));
         }
-        // WLOG step: rerun the whole argument on the bit-flipped protocol.
-        let flipped_factory = |pid: ProcessId| BitFlipped::new(factory(pid));
-        if let Some(cert) = attempt(cfg, &flipped_factory, &mut stats, true)? {
+        if let Some(cert) = attempt(cfg, &flipped, &mut stats, true)? {
             return Ok(Verdict::Violation(unflip_certificate(cert)));
         }
         return Ok(survival(cfg, stats));
     }
 
-    let mut outcomes = ba_sim::par_map(vec![false, true], 2, |_, flipped| {
+    let mut outcomes = ba_sim::par_map(vec![false, true], 2, |_, is_flipped| {
         let mut stats = Stats::new(cfg.telemetry());
-        let result = if flipped {
-            // WLOG step: the whole argument on the bit-flipped protocol.
-            let flipped_factory = |pid: ProcessId| BitFlipped::new(factory(pid));
-            attempt(cfg, &flipped_factory, &mut stats, true)
-        } else {
-            attempt(cfg, &factory, &mut stats, false)
-        };
+        let builder: &(dyn Builder<P::Msg> + Sync) = if is_flipped { &flipped } else { &canonical };
+        let result = attempt(cfg, builder, &mut stats, is_flipped);
         (result, stats)
     });
     let (flipped_outcome, flipped_stats) = outcomes.pop().expect("two orientations");
@@ -638,27 +647,43 @@ fn unflip_certificate<M: Payload>(cert: Certificate<M>) -> Certificate<M> {
     }
 }
 
-/// Either a clean unanimous verdict of the correct processes, or a direct
-/// violation certificate (the execution itself is the counterexample).
-fn correct_verdict<M: Payload>(
-    exec: &Execution<Bit, Bit, M>,
-    provenance: &[String],
-    label: &str,
-) -> Result<Bit, Box<Certificate<M>>> {
+/// A violation read off an outline, waiting for the full execution that
+/// certifies it.
+struct Found {
+    kind: ViolationKind,
+    note: String,
+}
+
+impl Found {
+    fn certify<M: Payload>(
+        self,
+        execution: BitExecution<M>,
+        provenance: &[String],
+    ) -> Certificate<M> {
+        Certificate {
+            execution,
+            kind: self.kind,
+            provenance: with_note(provenance, self.note),
+        }
+    }
+}
+
+/// Either a clean unanimous verdict of the correct processes, or the
+/// violation the run itself exhibits (it is its own counterexample).
+fn correct_verdict<E>(exec: &E, label: &str) -> Result<Bit, Found>
+where
+    E: Outcomes<Input = Bit, Output = Bit>,
+{
     let mut decided: Option<(Bit, ProcessId)> = None;
     let mut undecided: Option<ProcessId> = None;
     for p in exec.correct() {
         match exec.decision_of(p) {
             Some(v) => match decided {
                 Some((w, q)) if *v != w => {
-                    return Err(Box::new(Certificate {
-                        execution: exec.clone(),
+                    return Err(Found {
                         kind: ViolationKind::Agreement { p: q, q: p },
-                        provenance: with_note(
-                            provenance,
-                            format!("{label}: correct processes disagree directly"),
-                        ),
-                    }));
+                        note: format!("{label}: correct processes disagree directly"),
+                    });
                 }
                 Some(_) => {}
                 None => decided = Some((*v, p)),
@@ -667,17 +692,13 @@ fn correct_verdict<M: Payload>(
         }
     }
     if let Some(u) = undecided {
-        return Err(Box::new(Certificate {
-            execution: exec.clone(),
+        return Err(Found {
             kind: ViolationKind::Termination {
                 undecided: u,
                 decided: decided.map(|(_, q)| q),
             },
-            provenance: with_note(
-                provenance,
-                format!("{label}: a correct process never decides within the horizon"),
-            ),
-        }));
+            note: format!("{label}: a correct process never decides within the horizon"),
+        });
     }
     Ok(decided.expect("at least one correct process exists").0)
 }
@@ -691,8 +712,9 @@ fn with_note(provenance: &[String], note: String) -> Vec<String> {
 /// The Lemma 2 engine, exposed for standalone use: given an execution in
 /// which the processes of `group` are faulty (e.g. isolated per
 /// Definition 1) while the rest decided `expected`, find a group member
-/// that disagrees and can be made correct by [`swap_omission`] within the
-/// fault budget — a direct, verifiable violation of weak consensus.
+/// that disagrees and can be made correct by
+/// [`swap_omission`](super::swap_omission) within the fault budget — a
+/// direct, verifiable violation of weak consensus.
 ///
 /// Returns `None` when every disagreeing member receive-omitted messages
 /// from too many senders (the pigeonhole of Lemma 2 does not apply — the
@@ -714,8 +736,9 @@ pub fn lemma2_violation<M: Payload>(
         .map(|p| (exec.record(*p).all_receive_omitted().count(), *p))
         .collect();
     candidates.sort_unstable();
+    let omitting = omitting(exec);
     for (_, pivot) in candidates {
-        let Ok(swapped) = swap_omission(exec, pivot) else {
+        let Ok(swapped) = swap_omission_among(exec, pivot, &omitting) else {
             continue;
         };
         if swapped.validate().is_err() {
@@ -752,21 +775,165 @@ pub fn lemma2_violation<M: Payload>(
     None
 }
 
-/// One full pass of the argument in one bit orientation.
-#[allow(clippy::too_many_lines, clippy::type_complexity)]
-fn attempt<P, F>(
-    cfg: &FalsifierConfig,
-    factory: &F,
-    stats: &mut Stats<'_>,
-    flipped: bool,
-) -> Result<Option<Certificate<P::Msg>>, FalsifyError>
+/// Whether [`lemma2_violation`] can find anything in `run`: some member of
+/// `group` that did not decide `expected` passes Algorithm 4's budget rule.
+/// Against a quadratic protocol none does, and the run is never re-run in
+/// full.
+fn lemma2_applies<M>(run: &BitOutline<M>, group: &BTreeSet<ProcessId>, expected: Bit) -> bool {
+    let omitting = omitting(run);
+    group.iter().any(|p| {
+        run.decision_of(*p) != Some(&expected) && swapped_fault_set(run, *p, &omitting).is_ok()
+    })
+}
+
+type BitOutline<M> = Outline<Bit, Bit, M>;
+type BitExecution<M> = Execution<Bit, Bit, M>;
+
+/// One execution the argument constructs, named by how it is built. The
+/// argument examines its [`Outline`]; [`Builder::materialize`] re-runs it
+/// in full where a trace is read.
+enum Construction<'o, M> {
+    /// `E_bit`: fully correct, every process proposes `bit`.
+    Uniform(Bit),
+    /// `E_B(k)_bit`.
+    IsolatedB(Round, Bit),
+    /// `E_C(k)_bit`.
+    IsolatedC(Round, Bit),
+    /// `E*`: the merge of the outlined `E_B(kb)_0` and `E_C(kc)_b`.
+    Merged {
+        eb: &'o BitOutline<M>,
+        kb: Round,
+        ec: &'o BitOutline<M>,
+        kc: Round,
+        b: Bit,
+    },
+}
+
+/// Builds the argument's executions of one protocol: as outlines to
+/// examine, and in full where a trace is read. [`FamilyRunner`] implements
+/// it once per protocol; the argument's steps read it as a `dyn Builder`,
+/// so they are compiled once per payload type, not once per protocol and
+/// orientation.
+trait Builder<M> {
+    /// The `(A, B, C)` partition the executions isolate.
+    fn partition(&self) -> &Partition;
+
+    /// The outline of `what`, keeping the inboxes of the groups it
+    /// isolates: what a merge replays to them and checks Lemma 16 against.
+    fn outline(&self, what: &Construction<'_, M>) -> Result<BitOutline<M>, FalsifyError>;
+
+    /// `what` in full: the one re-run path, for a certificate, a swap, or a
+    /// debug-build check. The executor is deterministic, so the re-run is
+    /// the execution the outline summarizes.
+    fn materialize(&self, what: &Construction<'_, M>) -> Result<BitExecution<M>, FalsifyError>;
+}
+
+impl<F, P> Builder<P::Msg> for FamilyRunner<'_, F>
 where
     P: Protocol<Input = Bit, Output = Bit>,
-    F: Fn(ProcessId) -> P + Sync,
+    F: Fn(ProcessId) -> P,
 {
-    let ecfg = cfg.executor_config();
-    let partition = cfg.partition();
-    let runner = FamilyRunner::new(ecfg, factory, partition.clone());
+    fn partition(&self) -> &Partition {
+        FamilyRunner::partition(self)
+    }
+
+    fn outline(&self, what: &Construction<'_, P::Msg>) -> Result<BitOutline<P::Msg>, FalsifyError> {
+        let partition = FamilyRunner::partition(self);
+        let keep: BTreeSet<ProcessId> = match what {
+            Construction::Uniform(_) => BTreeSet::new(),
+            Construction::IsolatedB(..) => partition.b().clone(),
+            Construction::IsolatedC(..) => partition.c().clone(),
+            Construction::Merged { .. } => partition.b().union(partition.c()).copied().collect(),
+        };
+        construct(self, what, OutlineSink::keeping(keep))
+    }
+
+    fn materialize(
+        &self,
+        what: &Construction<'_, P::Msg>,
+    ) -> Result<BitExecution<P::Msg>, FalsifyError> {
+        construct(self, what, FullTrace::new())
+    }
+}
+
+/// Runs `what`, recorded by `sink`.
+fn construct<P, F, S>(
+    runner: &FamilyRunner<'_, F>,
+    what: &Construction<'_, P::Msg>,
+    sink: S,
+) -> Result<S::Output, FalsifyError>
+where
+    P: Protocol<Input = Bit, Output = Bit>,
+    F: Fn(ProcessId) -> P,
+    S: TraceSink<P>,
+    S::Output: RecordedInboxes<P::Msg>,
+{
+    Ok(match *what {
+        Construction::Uniform(bit) => runner.e0_with(bit, sink)?,
+        Construction::IsolatedB(k, bit) => runner.isolated_b_with(k, bit, sink)?,
+        Construction::IsolatedC(k, bit) => runner.isolated_c_with(k, bit, sink)?,
+        Construction::Merged { eb, kb, ec, kc, b } => merge_with(
+            runner.cfg(),
+            runner.factory(),
+            FamilyRunner::partition(runner),
+            eb,
+            kb,
+            ec,
+            kc,
+            b,
+            sink,
+        )?,
+    })
+}
+
+/// Examines one isolation execution through its outline: requires a clean
+/// verdict of the correct processes and applies the Lemma 2 engine to the
+/// isolated `group`. The execution is re-run in full only to certify a
+/// violation, or when a disagreeing member passes the swap budget.
+///
+/// Debug builds also re-run it in full to check the execution guarantees
+/// (release builds trust the engine, which produces valid executions by
+/// construction).
+#[allow(clippy::too_many_arguments)]
+fn examine<M: Payload>(
+    builder: &dyn Builder<M>,
+    what: &Construction<'_, M>,
+    run: &BitOutline<M>,
+    group: &BTreeSet<ProcessId>,
+    label: &str,
+    prov: &[String],
+    stats: &mut Stats<'_>,
+) -> Result<ControlFlow<Certificate<M>, Bit>, FalsifyError> {
+    stats.observe(run.message_complexity());
+    if cfg!(debug_assertions) {
+        debug_assert_eq!(builder.materialize(what)?.validate(), Ok(()));
+    }
+    let verdict = match correct_verdict(run, label) {
+        Ok(v) => v,
+        Err(found) => {
+            return Ok(ControlFlow::Break(
+                found.certify(builder.materialize(what)?, prov),
+            ))
+        }
+    };
+    if lemma2_applies(run, group, verdict) {
+        let exec = builder.materialize(what)?;
+        if let Some(cert) = lemma2_violation(&exec, group, verdict, prov, label) {
+            return Ok(ControlFlow::Break(cert));
+        }
+    }
+    Ok(ControlFlow::Continue(verdict))
+}
+
+/// One full pass of the argument in one bit orientation.
+#[allow(clippy::too_many_lines)]
+fn attempt<M: Payload>(
+    cfg: &FalsifierConfig,
+    builder: &(dyn Builder<M> + Sync),
+    stats: &mut Stats<'_>,
+    flipped: bool,
+) -> Result<Option<Certificate<M>>, FalsifyError> {
+    let partition = builder.partition();
     let orientation = if flipped { "flipped" } else { "canonical" };
     let mut prov = vec![format!("orientation: {orientation}")];
     let recorder = cfg.telemetry();
@@ -781,87 +948,76 @@ where
     );
 
     // Step 1: Weak Validity and Termination on the fully correct uniform
-    // executions; also measure R_max.
+    // executions; R_max is the latest decision round they show.
     let mut rmax = Round(1);
     for bit in Bit::ALL {
-        let e = runner.e0::<P>(bit)?;
-        stats.observe(&e);
-        for p in ProcessId::all(cfg.n) {
-            match e.decision_of(p) {
-                Some(v) if *v != bit => {
-                    return Ok(Some(Certificate {
-                        kind: ViolationKind::WeakValidity {
-                            process: p,
-                            proposed: bit,
-                            decided: *v,
-                        },
-                        execution: e,
-                        provenance: with_note(
-                            &prov,
-                            format!("fully correct all-{bit} execution decides {}", bit.flip()),
-                        ),
-                    }));
+        let what = Construction::Uniform(bit);
+        let e = builder.outline(&what)?;
+        stats.observe(e.message_complexity());
+        for (p, decision) in ProcessId::all(cfg.n).zip(&e.decisions) {
+            let found = match decision {
+                Some((v, r)) if *v == bit => {
+                    rmax = rmax.max(*r);
+                    continue;
                 }
-                Some(_) => {}
-                None => {
-                    let decided = e.correct().find(|q| e.decision_of(*q).is_some());
-                    return Ok(Some(Certificate {
-                        kind: ViolationKind::Termination {
-                            undecided: p,
-                            decided,
-                        },
-                        execution: e,
-                        provenance: with_note(
-                            &prov,
-                            format!("fully correct all-{bit} execution: {p} never decides"),
-                        ),
-                    }));
-                }
-            }
+                Some((v, _)) => Found {
+                    kind: ViolationKind::WeakValidity {
+                        process: p,
+                        proposed: bit,
+                        decided: *v,
+                    },
+                    note: format!("fully correct all-{bit} execution decides {}", bit.flip()),
+                },
+                None => Found {
+                    kind: ViolationKind::Termination {
+                        undecided: p,
+                        decided: e.correct().find(|q| e.decision_of(*q).is_some()),
+                    },
+                    note: format!("fully correct all-{bit} execution: {p} never decides"),
+                },
+            };
+            return Ok(Some(found.certify(builder.materialize(&what)?, &prov)));
         }
-        rmax = rmax.max(e.all_decided_by().expect("all decided above"));
     }
     prov.push(format!(
         "R_max = {} (all correct decide by then in E_0)",
         rmax.0
     ));
 
-    // Helper: examine one isolation execution, require a clean verdict of
-    // the correct processes, and apply the Lemma 2 engine to the isolated
-    // group. Borrows: only a certificate copies the execution.
-    let examine = |exec: &Execution<Bit, Bit, P::Msg>,
-                   group: &BTreeSet<ProcessId>,
-                   label: &str,
-                   prov: &[String],
-                   stats: &mut Stats<'_>|
-     -> Result<Bit, Box<Certificate<P::Msg>>> {
-        stats.observe(exec);
-        debug_assert_eq!(exec.validate(), Ok(()));
-        let verdict = correct_verdict(exec, prov, label)?;
-        if let Some(cert) = lemma2_violation(exec, group, verdict, prov, label) {
-            return Err(Box::new(cert));
-        }
-        Ok(verdict)
-    };
-
     // Step 2/3: the k = 1 isolation executions and the Lemma 3 pairs.
-    let eb1_0 = runner.isolated_b::<P>(Round(1), Bit::Zero)?;
-    let x = match examine(&eb1_0, partition.b(), "E_B(1)_0", &prov, stats) {
-        Ok(v) => v,
-        Err(cert) => return Ok(Some(*cert)),
+    let what = Construction::IsolatedB(Round(1), Bit::Zero);
+    let eb1_0 = builder.outline(&what)?;
+    let x = match examine(
+        builder,
+        &what,
+        &eb1_0,
+        partition.b(),
+        "E_B(1)_0",
+        &prov,
+        stats,
+    )? {
+        ControlFlow::Continue(v) => v,
+        ControlFlow::Break(cert) => return Ok(Some(cert)),
     };
-    let ec1_0 = runner.isolated_c::<P>(Round(1), Bit::Zero)?;
-    let y = match examine(&ec1_0, partition.c(), "E_C(1)_0", &prov, stats) {
-        Ok(v) => v,
-        Err(cert) => return Ok(Some(*cert)),
+    let what = Construction::IsolatedC(Round(1), Bit::Zero);
+    let ec1_0 = builder.outline(&what)?;
+    let y = match examine(
+        builder,
+        &what,
+        &ec1_0,
+        partition.c(),
+        "E_C(1)_0",
+        &prov,
+        stats,
+    )? {
+        ControlFlow::Continue(v) => v,
+        ControlFlow::Break(cert) => return Ok(Some(cert)),
     };
     prov.push(format!("A decides {x} in E_B(1)_0 and {y} in E_C(1)_0"));
     if x != y {
         prov.push("Lemma 3 violated by (E_B(1)_0, E_C(1)_0): merging".into());
-        return contradict::<P, F>(
-            cfg,
-            factory,
-            &partition,
+        return contradict(
+            builder,
             stats,
             &prov,
             &eb1_0,
@@ -871,18 +1027,25 @@ where
             Bit::Zero,
         );
     }
-    let ec1_1 = runner.isolated_c::<P>(Round(1), Bit::One)?;
-    let z = match examine(&ec1_1, partition.c(), "E_C(1)_1", &prov, stats) {
-        Ok(v) => v,
-        Err(cert) => return Ok(Some(*cert)),
+    let what = Construction::IsolatedC(Round(1), Bit::One);
+    let ec1_1 = builder.outline(&what)?;
+    let z = match examine(
+        builder,
+        &what,
+        &ec1_1,
+        partition.c(),
+        "E_C(1)_1",
+        &prov,
+        stats,
+    )? {
+        ControlFlow::Continue(v) => v,
+        ControlFlow::Break(cert) => return Ok(Some(cert)),
     };
     prov.push(format!("A decides {z} in E_C(1)_1"));
     if x != z {
         prov.push("Lemma 3 violated by (E_B(1)_0, E_C(1)_1): merging".into());
-        return contradict::<P, F>(
-            cfg,
-            factory,
-            &partition,
+        return contradict(
+            builder,
             stats,
             &prov,
             &eb1_0,
@@ -912,49 +1075,36 @@ where
     prov.push("default bit is 1 (paper's WLOG normal form)".into());
 
     // Step 5 (Lemma 4): scan for the critical round R. On big instances
-    // the isolation executions for every k are precomputed concurrently,
+    // the isolation outlines for every k are precomputed concurrently,
     // then *replayed through the identical sequential walk* below — each
-    // execution passes through `examine` (and the stats) in ascending-k
+    // outline passes through `examine` (and the stats) in ascending-k
     // order, stopping at the first critical round, so verdicts and
     // statistics are value-identical to the sequential scan. Work past the
-    // stopping point is speculative and discarded unexamined.
+    // stopping point is speculative and discarded unexamined; an outline
+    // holds only `B`'s inboxes, so the whole scan stays small while it
+    // waits.
     let scan_rounds: Vec<u64> = (2..=rmax.0 + 1).collect();
-    // Speculative executions are recorded *compressed* (payloads interned
-    // into a per-task arena, fragments as u32 handles) while they wait their
-    // turn — all-to-all traces repeat the same few payloads across n² slots
-    // per round, so the resident cost of the whole scan is a handful of
-    // distinct payloads per k instead of the full traces. Hydration in the
-    // walk below is a lossless bit-for-bit round trip.
-    let precomputed: Option<Vec<Result<_, SimError>>> =
+    let precomputed: Vec<Option<Result<BitOutline<M>, FalsifyError>>> =
         if cfg.scan_in_parallel() && scan_rounds.len() > 1 {
-            Some(ba_sim::par_map(scan_rounds.clone(), 0, |_, k| {
-                let mut arena = PayloadArena::new();
-                runner
-                    .isolated_b_with::<P, _>(Round(k), Bit::Zero, CompressedTrace::new(&mut arena))
-                    .map(|compressed| (arena, compressed))
-            }))
+            ba_sim::par_map(scan_rounds.clone(), 0, |_, k| {
+                Some(builder.outline(&Construction::IsolatedB(Round(k), Bit::Zero)))
+            })
         } else {
-            None
+            scan_rounds.iter().map(|_| None).collect()
         };
-    let mut precomputed = precomputed.map(Vec::into_iter);
     let mut prev = eb1_0;
-    let mut critical: Option<(
-        Round,
-        Execution<Bit, Bit, P::Msg>,
-        Execution<Bit, Bit, P::Msg>,
-    )> = None;
-    for k in scan_rounds {
+    let mut critical: Option<(Round, BitOutline<M>, BitOutline<M>)> = None;
+    for (k, run) in scan_rounds.into_iter().zip(precomputed) {
         recorder.counter("falsifier.scan.rounds", 1, &[]);
-        let e = match precomputed.as_mut() {
-            Some(runs) => {
-                let (arena, compressed) = runs.next().expect("one precomputed run per k")?;
-                compressed.hydrate(&arena)
-            }
-            None => runner.isolated_b::<P>(Round(k), Bit::Zero)?,
+        let what = Construction::IsolatedB(Round(k), Bit::Zero);
+        let e = match run {
+            Some(run) => run?,
+            None => builder.outline(&what)?,
         };
-        let d = match examine(&e, partition.b(), &format!("E_B({k})_0"), &prov, stats) {
-            Ok(v) => v,
-            Err(cert) => return Ok(Some(*cert)),
+        let label = format!("E_B({k})_0");
+        let d = match examine(builder, &what, &e, partition.b(), &label, &prov, stats)? {
+            ControlFlow::Continue(v) => v,
+            ControlFlow::Break(cert) => return Ok(Some(cert)),
         };
         if d == Bit::Zero {
             critical = Some((Round(k - 1), prev, e));
@@ -993,46 +1143,20 @@ where
     );
 
     // Step 6 (Lemma 5): merge the appropriate pair with E_C(R)_0.
-    let ec_r = runner.isolated_c::<P>(r, Bit::Zero)?;
-    let w = match examine(
-        &ec_r,
-        partition.c(),
-        &format!("E_C({})_0", r.0),
-        &prov,
-        stats,
-    ) {
-        Ok(v) => v,
-        Err(cert) => return Ok(Some(*cert)),
+    let what = Construction::IsolatedC(r, Bit::Zero);
+    let ec_r = builder.outline(&what)?;
+    let label = format!("E_C({})_0", r.0);
+    let w = match examine(builder, &what, &ec_r, partition.c(), &label, &prov, stats)? {
+        ControlFlow::Continue(v) => v,
+        ControlFlow::Break(cert) => return Ok(Some(cert)),
     };
     prov.push(format!("A decides {w} in E_C({})_0", r.0));
     let outcome = if w == Bit::One {
         prov.push("merging E_B(R+1)_0 (A: 0) with E_C(R)_0 (A: 1) — Lemma 5".into());
-        contradict::<P, F>(
-            cfg,
-            factory,
-            &partition,
-            stats,
-            &prov,
-            &eb_r1,
-            r.next(),
-            &ec_r,
-            r,
-            Bit::Zero,
-        )
+        contradict(builder, stats, &prov, &eb_r1, r.next(), &ec_r, r, Bit::Zero)
     } else {
         prov.push("merging E_B(R)_0 (A: 1) with E_C(R)_0 (A: 0) — Lemma 5".into());
-        contradict::<P, F>(
-            cfg,
-            factory,
-            &partition,
-            stats,
-            &prov,
-            &eb_r,
-            r,
-            &ec_r,
-            r,
-            Bit::Zero,
-        )
+        contradict(builder, stats, &prov, &eb_r, r, &ec_r, r, Bit::Zero)
     }?;
     if outcome.is_none() {
         stats.note(format!(
@@ -1045,50 +1169,54 @@ where
 }
 
 /// The Lemma 3/5 endgame: merge a mergeable pair whose `A`-decisions differ
-/// and extract a violation via the Lemma 2 engine.
+/// and extract a violation via the Lemma 2 engine, from the merged outline
+/// (re-run in full only where a certificate or a swap reads it).
 #[allow(clippy::too_many_arguments)]
-fn contradict<P, F>(
-    cfg: &FalsifierConfig,
-    factory: &F,
-    partition: &Partition,
+fn contradict<M: Payload>(
+    builder: &dyn Builder<M>,
     stats: &mut Stats<'_>,
     prov: &[String],
-    eb: &Execution<Bit, Bit, P::Msg>,
+    eb: &BitOutline<M>,
     kb: Round,
-    ec: &Execution<Bit, Bit, P::Msg>,
+    ec: &BitOutline<M>,
     kc: Round,
     b: Bit,
-) -> Result<Option<Certificate<P::Msg>>, FalsifyError>
-where
-    P: Protocol<Input = Bit, Output = Bit>,
-    F: Fn(ProcessId) -> P,
-{
-    let ecfg = cfg.executor_config();
-    let merged = merge::<P, _>(&ecfg, factory, partition, eb, kb, ec, kc, b)?;
-    stats.observe(&merged);
-    debug_assert_eq!(merged.validate(), Ok(()));
-    // Lemma 16 sanity: isolated groups cannot distinguish E* from their
-    // originals, so they decide identically.
-    debug_assert!(partition
-        .b()
-        .iter()
-        .all(|p| merged.indistinguishable_to(eb, *p)));
-    debug_assert!(partition
-        .c()
-        .iter()
-        .all(|p| merged.indistinguishable_to(ec, *p)));
+) -> Result<Option<Certificate<M>>, FalsifyError> {
+    let partition = builder.partition();
+    let what = Construction::Merged { eb, kb, ec, kc, b };
+    let merged = builder.outline(&what)?;
+    stats.observe(merged.message_complexity());
+    if cfg!(debug_assertions) {
+        let full = builder.materialize(&what)?;
+        debug_assert_eq!(full.validate(), Ok(()));
+        // Lemma 16 sanity: isolated groups cannot distinguish E* from their
+        // originals, so they decide identically.
+        for (group, original) in [
+            (partition.b(), Construction::IsolatedB(kb, Bit::Zero)),
+            (partition.c(), Construction::IsolatedC(kc, b)),
+        ] {
+            let original = builder.materialize(&original)?;
+            debug_assert!(group
+                .iter()
+                .all(|p| full.indistinguishable_to(&original, *p)));
+        }
+    }
 
     let prov = with_note(
         prov,
         format!("merged execution E* (Algorithm 5) with B isolated from {kb}, C from {kc}"),
     );
-    let a_verdict = match correct_verdict(&merged, &prov, "E*") {
+    let a_verdict = match correct_verdict(&merged, "E*") {
         Ok(v) => v,
-        Err(cert) => return Ok(Some(*cert)),
+        Err(found) => return Ok(Some(found.certify(builder.materialize(&what)?, &prov))),
     };
     let prov = with_note(&prov, format!("group A decides {a_verdict} in E*"));
     for (group, label) in [(partition.b(), "E*/B"), (partition.c(), "E*/C")] {
-        if let Some(cert) = lemma2_violation(&merged, group, a_verdict, &prov, label) {
+        if !lemma2_applies(&merged, group, a_verdict) {
+            continue;
+        }
+        let exec = builder.materialize(&what)?;
+        if let Some(cert) = lemma2_violation(&exec, group, a_verdict, &prov, label) {
             return Ok(Some(cert));
         }
     }
@@ -1171,10 +1299,9 @@ where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P,
 {
-    let partition = cfg.partition();
-    let runner = FamilyRunner::new(cfg.executor_config(), factory, partition.clone());
-    let eb = runner.isolated_b::<P>(Round(1), Bit::Zero)?;
-    Ok(eb.unanimous_decision(partition.a().iter()))
+    let runner = FamilyRunner::new(cfg.executor_config(), factory, cfg.partition());
+    let eb = Builder::outline(&runner, &Construction::IsolatedB(Round(1), Bit::Zero))?;
+    Ok(eb.unanimous_decision(runner.partition().a()))
 }
 
 fn scan_critical<P, F>(
@@ -1185,15 +1312,14 @@ where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P,
 {
-    let partition = cfg.partition();
-    let runner = FamilyRunner::new(cfg.executor_config(), factory, partition.clone());
-    let e0 = runner.e0::<P>(Bit::Zero)?;
+    let runner = FamilyRunner::new(cfg.executor_config(), factory, cfg.partition());
+    let e0 = Builder::outline(&runner, &Construction::Uniform(Bit::Zero))?;
     let Some(r_max) = e0.all_decided_by() else {
         return Ok(None);
     };
     for k in 2..=r_max.0 + 1 {
-        let e = runner.isolated_b::<P>(Round(k), Bit::Zero)?;
-        match e.unanimous_decision(partition.a().iter()) {
+        let e = Builder::outline(&runner, &Construction::IsolatedB(Round(k), Bit::Zero))?;
+        match e.unanimous_decision(runner.partition().a()) {
             Some(Bit::Zero) => return Ok(Some((r_max, Round(k - 1)))),
             Some(Bit::One) => {}
             None => return Ok(None),

@@ -139,10 +139,20 @@ impl<'f, F> FamilyRunner<'f, F> {
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
     {
+        self.e0_with(bit, FullTrace::new())
+    }
+
+    /// [`FamilyRunner::e0`] recorded by a caller's [`TraceSink`].
+    pub(crate) fn e0_with<P, S>(&self, bit: Bit, sink: S) -> Result<S::Output, SimError>
+    where
+        P: Protocol<Input = Bit, Output = Bit>,
+        F: Fn(ProcessId) -> P,
+        S: TraceSink<P>,
+    {
         Scenario::config(&self.cfg)
             .protocol(self.factory)
             .uniform_input(bit)
-            .run()
+            .run_with_sink(sink)
     }
 
     /// `E_B(k)_bit`: all processes propose `bit`; group `B` is isolated from
@@ -160,8 +170,8 @@ impl<'f, F> FamilyRunner<'f, F> {
     }
 
     /// [`FamilyRunner::isolated_b`] recorded by a caller's [`TraceSink`] —
-    /// e.g. a [`CompressedTrace`](ba_sim::CompressedTrace) for executions
-    /// held resident.
+    /// e.g. an [`OutlineSink`](ba_sim::OutlineSink) keeping `B`'s inboxes,
+    /// the form the falsifier examines and its parallel Lemma 4 scan holds.
     ///
     /// # Errors
     ///
@@ -191,7 +201,27 @@ impl<'f, F> FamilyRunner<'f, F> {
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
     {
-        self.isolated(self.partition.c.clone(), k, bit, FullTrace::new())
+        self.isolated_c_with(k, bit, FullTrace::new())
+    }
+
+    /// [`FamilyRunner::isolated_c`] recorded by a caller's [`TraceSink`].
+    pub(crate) fn isolated_c_with<P, S>(
+        &self,
+        k: Round,
+        bit: Bit,
+        sink: S,
+    ) -> Result<S::Output, SimError>
+    where
+        P: Protocol<Input = Bit, Output = Bit>,
+        F: Fn(ProcessId) -> P,
+        S: TraceSink<P>,
+    {
+        self.isolated(self.partition.c.clone(), k, bit, sink)
+    }
+
+    /// The protocol factory in use.
+    pub(crate) fn factory(&self) -> &'f F {
+        self.factory
     }
 
     fn isolated<P, S>(

@@ -11,12 +11,13 @@
 //! but **checked**: any divergence is reported as
 //! [`MergeError::Diverged`].
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
 use ba_sim::{
-    Adversary, Bit, Execution, ExecutorConfig, FnPlan, ProcessId, Protocol, Round, Routing,
-    Scenario, SimError,
+    Adversary, Bit, Execution, ExecutorConfig, FnPlan, FullTrace, Outline, Payload, ProcessId,
+    Protocol, Round, Routing, Scenario, SimError, TraceSink, Value,
 };
 
 use super::family::Partition;
@@ -45,6 +46,13 @@ pub enum MergeError {
         /// The first round of divergence.
         round: Round,
     },
+    /// An execution the merge reads an isolated process's inbox from did
+    /// not record it (an [`Outline`] keeps only the inboxes it was asked
+    /// to), so Lemma 16 cannot be checked for that process.
+    UnrecordedInbox {
+        /// The process whose inbox is missing.
+        process: ProcessId,
+    },
 }
 
 impl fmt::Display for MergeError {
@@ -64,6 +72,9 @@ impl fmt::Display for MergeError {
                     "merged inbox of {process} diverged from the original in {round}"
                 )
             }
+            MergeError::UnrecordedInbox { process } => {
+                write!(f, "the inbox of {process} was not recorded")
+            }
         }
     }
 }
@@ -73,6 +84,59 @@ impl Error for MergeError {}
 impl From<SimError> for MergeError {
     fn from(e: SimError) -> Self {
         MergeError::Sim(e)
+    }
+}
+
+/// The per-round inboxes of a recorded run: what [`merge`] replays to the
+/// isolated groups and checks Lemma 16 against. An [`Execution`] records
+/// every process's inbox; an [`Outline`] only those it was asked to keep.
+pub(crate) trait RecordedInboxes<M> {
+    /// Number of rounds executed.
+    fn rounds(&self) -> u64;
+
+    /// What `pid` received in `round`: `Ok(None)` past the run's last
+    /// round, where the inbox is empty.
+    ///
+    /// # Errors
+    ///
+    /// [`MergeError::UnrecordedInbox`] naming `pid` when the run did not
+    /// record its inbox — never an empty map, which would pass Lemma 16's
+    /// check for a process that was not checked.
+    fn received(
+        &self,
+        pid: ProcessId,
+        round: Round,
+    ) -> Result<Option<&BTreeMap<ProcessId, M>>, MergeError>;
+}
+
+impl<I: Value, O: Value, M: Payload> RecordedInboxes<M> for Execution<I, O, M> {
+    fn rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    fn received(
+        &self,
+        pid: ProcessId,
+        round: Round,
+    ) -> Result<Option<&BTreeMap<ProcessId, M>>, MergeError> {
+        Ok(self.record(pid).fragment(round).map(|f| &f.received))
+    }
+}
+
+impl<I: Value, O: Value, M: Payload> RecordedInboxes<M> for Outline<I, O, M> {
+    fn rounds(&self) -> u64 {
+        self.rounds
+    }
+
+    fn received(
+        &self,
+        pid: ProcessId,
+        round: Round,
+    ) -> Result<Option<&BTreeMap<ProcessId, M>>, MergeError> {
+        let rounds = self
+            .inbox(pid)
+            .ok_or(MergeError::UnrecordedInbox { process: pid })?;
+        Ok(rounds.get(round.index()))
     }
 }
 
@@ -111,12 +175,76 @@ where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P,
 {
+    merge_with(cfg, factory, partition, eb, kb, ec, kc, b, FullTrace::new())
+}
+
+/// [`merge`] from originals recorded in any form that keeps the isolated
+/// groups' inboxes, recorded by `sink`. The sink's output must keep them
+/// too (for an [`OutlineSink`](ba_sim::OutlineSink), `B ∪ C`): the Lemma 16
+/// check reads the merged inboxes back.
+///
+/// # Errors
+///
+/// See [`MergeError`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn merge_with<P, F, E, S>(
+    cfg: &ExecutorConfig,
+    factory: F,
+    partition: &Partition,
+    eb: &E,
+    kb: Round,
+    ec: &E,
+    kc: Round,
+    b: Bit,
+    sink: S,
+) -> Result<S::Output, MergeError>
+where
+    P: Protocol<Input = Bit, Output = Bit>,
+    F: Fn(ProcessId) -> P,
+    E: RecordedInboxes<P::Msg>,
+    S: TraceSink<P>,
+    S::Output: RecordedInboxes<P::Msg>,
+{
+    let (proposals, adversary) = merged_adversary(cfg.n, partition, eb, kb, ec, kc, b)?;
+    let merged = Scenario::config(cfg)
+        .protocol(&factory)
+        .inputs(proposals)
+        .adversary(adversary)
+        .run_with_sink(sink)?;
+    check_lemma_16(partition, eb, ec, &merged)?;
+    Ok(merged)
+}
+
+/// The proposals and the adversary of Algorithm 5, which depend on the
+/// payload type only (not on the protocol or the sink, so every protocol
+/// sharing a message type shares this code).
+#[allow(clippy::type_complexity)]
+fn merged_adversary<'a, M, E>(
+    n: usize,
+    partition: &'a Partition,
+    eb: &'a E,
+    kb: Round,
+    ec: &'a E,
+    kc: Round,
+    b: Bit,
+) -> Result<(Vec<Bit>, Adversary<'a, Bit, M>), MergeError>
+where
+    M: Payload,
+    E: RecordedInboxes<M>,
+{
     if !mergeable(kb, kc, b) {
         return Err(MergeError::NotMergeable { kb, kc, b });
     }
+    // The plan below reads the originals' inboxes, so a missing one is an
+    // error before anything runs.
+    for (group, original) in [(partition.b(), eb), (partition.c(), ec)] {
+        for pid in group {
+            original.received(*pid, Round::FIRST)?;
+        }
+    }
 
     // Proposals: A ∪ B propose 0, C proposes b (Algorithm 5 lines 4–7).
-    let proposals: Vec<Bit> = ProcessId::all(cfg.n)
+    let proposals: Vec<Bit> = ProcessId::all(n)
         .map(|p| {
             if partition.c().contains(&p) {
                 b
@@ -125,13 +253,12 @@ where
             }
         })
         .collect();
-    let faulty: std::collections::BTreeSet<ProcessId> =
-        partition.b().union(partition.c()).copied().collect();
+    let faulty: BTreeSet<ProcessId> = partition.b().union(partition.c()).copied().collect();
 
     // Delivery: A receives everything; B and C receive exactly their
     // original inboxes (lines 10–18).
     let plan = FnPlan(
-        |round: Round, sender: ProcessId, receiver: ProcessId, payload: &P::Msg| {
+        move |round: Round, sender: ProcessId, receiver: ProcessId, payload: &M| {
             let original = if partition.b().contains(&receiver) {
                 eb
             } else if partition.c().contains(&receiver) {
@@ -139,10 +266,10 @@ where
             } else {
                 return Routing::Deliver;
             };
-            let received_originally = original
-                .record(receiver)
-                .fragment(round)
-                .is_some_and(|frag| frag.received.get(&sender) == Some(payload));
+            let received_originally = matches!(
+                original.received(receiver, round),
+                Ok(Some(inbox)) if inbox.get(&sender) == Some(payload)
+            );
             if received_originally {
                 Routing::Deliver
             } else {
@@ -150,22 +277,29 @@ where
             }
         },
     );
+    Ok((proposals, Adversary::omission(faulty, plan)))
+}
 
-    let merged = Scenario::config(cfg)
-        .protocol(&factory)
-        .inputs(proposals)
-        .adversary(Adversary::omission(faulty, plan))
-        .run()?;
-
-    // Lemma 16's receive-validity claim, checked: each isolated process
-    // received exactly its original inbox, round by round.
+/// Lemma 16's receive-validity claim, checked: each isolated process
+/// received in `merged` exactly its original inbox, round by round.
+fn check_lemma_16<M, E, R>(
+    partition: &Partition,
+    eb: &E,
+    ec: &E,
+    merged: &R,
+) -> Result<(), MergeError>
+where
+    M: Payload,
+    E: RecordedInboxes<M>,
+    R: RecordedInboxes<M>,
+{
+    let empty = BTreeMap::new();
     for (group, original) in [(partition.b(), eb), (partition.c(), ec)] {
         for pid in group {
-            let horizon = merged.rounds.max(original.rounds);
+            let horizon = merged.rounds().max(original.rounds());
             for round in Round::up_to(horizon) {
-                let got = merged.record(*pid).fragment(round).map(|f| &f.received);
-                let want = original.record(*pid).fragment(round).map(|f| &f.received);
-                let empty = std::collections::BTreeMap::new();
+                let got = merged.received(*pid, round)?;
+                let want = original.received(*pid, round)?;
                 if got.unwrap_or(&empty) != want.unwrap_or(&empty) {
                     return Err(MergeError::Diverged {
                         process: *pid,
@@ -175,7 +309,7 @@ where
             }
         }
     }
-    Ok(merged)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -184,6 +318,7 @@ mod tests {
     use crate::lowerbound::family::FamilyRunner;
     use ba_crypto::Keybook;
     use ba_protocols::DolevStrong;
+    use ba_sim::OutlineSink;
 
     fn setup(
         n: usize,
@@ -350,6 +485,102 @@ mod tests {
         for pid in partition.c() {
             assert!(merged.indistinguishable_to(&ec, *pid));
         }
+    }
+
+    #[test]
+    fn merging_outlines_equals_merging_full_traces() {
+        let (cfg, factory, partition) = setup(6, 2);
+        let runner = FamilyRunner::new(cfg, &factory, partition.clone());
+        let (kb, kc) = (Round(3), Round(2));
+        let eb = runner
+            .isolated_b::<DolevStrong<Bit>>(kb, Bit::Zero)
+            .unwrap();
+        let ec = runner
+            .isolated_c::<DolevStrong<Bit>>(kc, Bit::Zero)
+            .unwrap();
+        let eb_outline = runner
+            .isolated_b_with(kb, Bit::Zero, OutlineSink::keeping(partition.b().clone()))
+            .unwrap();
+        let ec_outline = runner
+            .isolated_c_with(kc, Bit::Zero, OutlineSink::keeping(partition.c().clone()))
+            .unwrap();
+        let merged = merge(&cfg, &factory, &partition, &eb, kb, &ec, kc, Bit::Zero).unwrap();
+        let from_outlines = merge_with(
+            &cfg,
+            &factory,
+            &partition,
+            &eb_outline,
+            kb,
+            &ec_outline,
+            kc,
+            Bit::Zero,
+            FullTrace::new(),
+        )
+        .unwrap();
+        assert_eq!(merged, from_outlines);
+    }
+
+    #[test]
+    fn an_unrecorded_inbox_is_a_typed_error_naming_the_process() {
+        let (cfg, factory, partition) = setup(6, 2);
+        let runner = FamilyRunner::new(cfg, &factory, partition.clone());
+        let b_member = *partition.b().first().unwrap();
+        let c_member = *partition.c().first().unwrap();
+        let outline = |keep: &BTreeSet<ProcessId>| {
+            runner
+                .isolated_b_with(Round(1), Bit::Zero, OutlineSink::keeping(keep.clone()))
+                .unwrap()
+        };
+        let (kept, unkept) = (outline(partition.b()), outline(&BTreeSet::new()));
+        let ec = runner
+            .isolated_c_with(
+                Round(1),
+                Bit::Zero,
+                OutlineSink::keeping(partition.c().clone()),
+            )
+            .unwrap();
+        // Reading it is the error, never an empty inbox.
+        assert_eq!(
+            unkept.received(b_member, Round(1)),
+            Err(MergeError::UnrecordedInbox { process: b_member })
+        );
+        assert!(kept.received(b_member, Round(1)).unwrap().is_some());
+        let merge_into = |eb, sink| {
+            merge_with(
+                &cfg,
+                &factory,
+                &partition,
+                eb,
+                Round(1),
+                &ec,
+                Round(1),
+                Bit::Zero,
+                sink,
+            )
+        };
+        // An original without the isolated group's inboxes.
+        assert_eq!(
+            merge_into(
+                &unkept,
+                OutlineSink::keeping(partition.b().union(partition.c()).copied())
+            )
+            .unwrap_err(),
+            MergeError::UnrecordedInbox { process: b_member }
+        );
+        // A merged outline that keeps only B cannot be checked for C.
+        assert_eq!(
+            merge_into(&kept, OutlineSink::keeping(partition.b().clone())).unwrap_err(),
+            MergeError::UnrecordedInbox { process: c_member }
+        );
+        let merged = merge_into(
+            &kept,
+            OutlineSink::keeping(partition.b().union(partition.c()).copied()),
+        )
+        .unwrap();
+        assert_eq!(
+            merged.faulty,
+            partition.b().union(partition.c()).copied().collect()
+        );
     }
 
     #[test]

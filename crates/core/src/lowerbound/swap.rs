@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-use ba_sim::{Execution, Payload, ProcessId, Value};
+use ba_sim::{Execution, Outline, Payload, ProcessId, Value};
 
 /// Why a swap could not produce a valid execution.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -56,6 +56,97 @@ impl fmt::Display for SwapError {
 
 impl Error for SwapError {}
 
+/// Who omitted what in a recorded run: the part of it Algorithm 4's
+/// budget rule reads. The full [`Execution`] and the falsifier's
+/// [`Outline`] both record it.
+pub(crate) trait OmissionRecord {
+    /// Number of processes `n`.
+    fn process_count(&self) -> usize;
+
+    /// The resilience bound `t`.
+    fn resilience(&self) -> usize;
+
+    /// Whether `p` send-omitted any message.
+    fn send_omits(&self, p: ProcessId) -> bool;
+
+    /// The senders `p` receive-omitted a message from (with repeats).
+    fn receive_omits_from(&self, p: ProcessId) -> impl Iterator<Item = ProcessId> + '_;
+}
+
+impl<I: Value, O: Value, M: Payload> OmissionRecord for Execution<I, O, M> {
+    fn process_count(&self) -> usize {
+        self.n
+    }
+
+    fn resilience(&self) -> usize {
+        self.t
+    }
+
+    fn send_omits(&self, p: ProcessId) -> bool {
+        self.record(p).all_send_omitted().next().is_some()
+    }
+
+    fn receive_omits_from(&self, p: ProcessId) -> impl Iterator<Item = ProcessId> + '_ {
+        self.record(p)
+            .all_receive_omitted()
+            .map(|(_, sender, _)| sender)
+    }
+}
+
+impl<I, O, M> OmissionRecord for Outline<I, O, M> {
+    fn process_count(&self) -> usize {
+        self.n
+    }
+
+    fn resilience(&self) -> usize {
+        self.t
+    }
+
+    fn send_omits(&self, p: ProcessId) -> bool {
+        self.send_omitted[p.index()]
+    }
+
+    fn receive_omits_from(&self, p: ProcessId) -> impl Iterator<Item = ProcessId> + '_ {
+        self.receive_omitted_from[p.index()].iter().copied()
+    }
+}
+
+/// The processes that omit any message in `run`: read once per run, then
+/// shared by every pivot [`swapped_fault_set`] is asked about.
+pub(crate) fn omitting(run: &impl OmissionRecord) -> BTreeSet<ProcessId> {
+    ProcessId::all(run.process_count())
+        .filter(|p| run.send_omits(*p) || run.receive_omits_from(*p).next().is_some())
+        .collect()
+}
+
+/// Algorithm 4's budget rule: the fault set of `run` after swapping on
+/// `pivot`, or the error [`swap_omission`] rejects that swap with.
+///
+/// The surgery only adds send-omissions at the senders the pivot
+/// receive-omitted from and clears the pivot's receive-omissions, so the
+/// set is those senders plus every other process of `omitting` (lines
+/// 10–11). A pivot that send-omitted stays faulty, and a set above `t`
+/// breaks the budget.
+pub(crate) fn swapped_fault_set(
+    run: &impl OmissionRecord,
+    pivot: ProcessId,
+    omitting: &BTreeSet<ProcessId>,
+) -> Result<BTreeSet<ProcessId>, SwapError> {
+    if run.send_omits(pivot) {
+        return Err(SwapError::PivotSendOmitted { pivot });
+    }
+    let mut faulty: BTreeSet<ProcessId> = run.receive_omits_from(pivot).collect();
+    faulty.extend(omitting.iter().filter(|p| **p != pivot));
+    let t = run.resilience();
+    if faulty.len() > t {
+        return Err(SwapError::TooManyFaulty {
+            got: faulty.len(),
+            t,
+        });
+    }
+    Ok(faulty)
+}
+
 /// Applies Algorithm 4: every message receive-omitted by `pivot` becomes
 /// send-omitted by its sender; `pivot`'s receive-omissions are cleared; the
 /// fault set is recomputed as exactly the processes that still commit
@@ -86,35 +177,28 @@ where
     O: Value,
     M: Payload,
 {
-    let pivot_record = exec.record(pivot);
-    if pivot_record.all_send_omitted().next().is_some() {
-        return Err(SwapError::PivotSendOmitted { pivot });
-    }
+    swap_omission_among(exec, pivot, &omitting(exec))
+}
 
-    // The fault set after the swap (Algorithm 4 lines 10–11).
-    let mut faulty: BTreeSet<ProcessId> = pivot_record
-        .all_receive_omitted()
-        .map(|(_, sender, _)| sender)
-        .collect();
-    faulty.extend(ProcessId::all(exec.n).filter(|p| {
-        let rec = exec.record(*p);
-        *p != pivot
-            && (rec.all_send_omitted().next().is_some()
-                || rec.all_receive_omitted().next().is_some())
-    }));
-    if faulty.len() > exec.t {
-        return Err(SwapError::TooManyFaulty {
-            got: faulty.len(),
-            t: exec.t,
-        });
-    }
-
+/// [`swap_omission`] given the execution's [`omitting`] processes, so a
+/// caller trying several pivots reads the execution's omissions once.
+pub(crate) fn swap_omission_among<I, O, M>(
+    exec: &Execution<I, O, M>,
+    pivot: ProcessId,
+    omitting: &BTreeSet<ProcessId>,
+) -> Result<Execution<I, O, M>, SwapError>
+where
+    I: Value,
+    O: Value,
+    M: Payload,
+{
+    let faulty = swapped_fault_set(exec, pivot, omitting)?;
     let mut out = exec.clone();
     for frag in &mut out.records[pivot.index()].fragments {
         frag.receive_omitted.clear();
     }
     // Re-attribute: the sender send-omitted the message instead.
-    for (round, sender, _) in pivot_record.all_receive_omitted() {
+    for (round, sender, _) in exec.record(pivot).all_receive_omitted() {
         let frag = &mut out.records[sender.index()].fragments[round.index()];
         let payload = frag
             .sent

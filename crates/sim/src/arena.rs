@@ -6,17 +6,13 @@
 //! payload once and replaces every slot with a dense [`PayloadId`] (`u32`)
 //! handle; compress → hydrate round-trips are lossless and bit-identical.
 //!
-//! Who records which form:
-//!
-//! * [`CompressedTrace`](crate::CompressedTrace) records a run straight
-//!   into a caller's arena. The falsifier's parallel `E_B(k)` scan keeps
-//!   its speculative executions in this form and hydrates each one only
-//!   when the sequential walk reaches it.
-//! * [`FullTrace`](crate::FullTrace) records the full [`Execution`] in
-//!   place, without an arena; [`CompressedExecution::compress`] turns one
-//!   into handle form after the fact.
-//!
-//! `ba-check` records neither: it fingerprints each execution while it
+//! No sink records into an arena: [`FullTrace`](crate::FullTrace) records
+//! the full [`Execution`] in place, and [`CompressedExecution::compress`]
+//! turns one into handle form after the fact
+//! ([`payload_reuse`](crate::payload_reuse) measures how much an arena
+//! would share). The falsifier keeps its constructed executions as
+//! [`Outline`](crate::Outline)s, which hold no payload but the isolated
+//! groups' inboxes, and `ba-check` fingerprints each execution while it
 //! runs, through [`FingerprintSink`](crate::FingerprintSink), which keeps
 //! no payloads at all and hashes through this module's [`StableHasher`].
 

@@ -181,10 +181,11 @@ pub struct Execution<I, O, M> {
 /// Who was faulty, what each process proposed and what it decided: the
 /// part of a recorded execution an agreement verdict reads.
 ///
-/// Both forms a verdict is taken from implement it — the full
-/// [`Execution`] and the [`Fingerprinted`](crate::Fingerprinted) run
-/// `ba-check` records — so a verdict over decisions is written once and
-/// reads either form as recorded.
+/// Every form a verdict is taken from implements it — the full
+/// [`Execution`], the [`Fingerprinted`](crate::Fingerprinted) run
+/// `ba-check` records and the [`Outline`](crate::Outline) the falsifier
+/// examines — so a verdict over decisions is written once and reads each
+/// form as recorded.
 pub trait Outcomes {
     /// The proposal domain.
     type Input: Value;
@@ -215,6 +216,24 @@ pub trait Outcomes {
     fn correct(&self) -> impl Iterator<Item = ProcessId> + '_ {
         let faulty = self.faulty();
         ProcessId::all(self.n()).filter(move |p| !faulty.contains(p))
+    }
+
+    /// The unique decision of the processes in `group`, or `None` if any of
+    /// them is undecided or they disagree.
+    fn unanimous_decision<'a, G>(&self, group: G) -> Option<Self::Output>
+    where
+        G: IntoIterator<Item = &'a ProcessId>,
+    {
+        let mut result: Option<Self::Output> = None;
+        for pid in group {
+            let v = self.decision_of(*pid)?;
+            match &result {
+                None => result = Some(v.clone()),
+                Some(prev) if prev == v => {}
+                Some(_) => return None,
+            }
+        }
+        result
     }
 }
 
@@ -287,16 +306,7 @@ impl<I: Value, O: Value, M: Payload> Execution<I, O, M> {
     where
         G: IntoIterator<Item = &'a ProcessId>,
     {
-        let mut result: Option<O> = None;
-        for pid in group {
-            let v = self.decision_of(*pid)?;
-            match &result {
-                None => result = Some(v.clone()),
-                Some(prev) if prev == v => {}
-                Some(_) => return None,
-            }
-        }
-        result
+        Outcomes::unanimous_decision(self, group)
     }
 
     /// The round at the start of which every correct process had decided,

@@ -36,7 +36,9 @@
 //! (indistinguishability, message complexity, decision rounds) is recorded
 //! and checkable after the fact. The proof constructions themselves
 //! (`swap_omission`, `merge`, the Ω(t²) falsifier) live in `ba-core` and
-//! operate on the [`Execution`] values produced here.
+//! operate on the [`Execution`] values produced here; the falsifier
+//! examines each execution it constructs as an [`Outline`] first and
+//! re-runs it in full only where the argument reads a trace.
 //!
 //! What a run *records* is pluggable ([`TraceSink`]):
 //! [`Scenario::run`](ProtocolScenario::run) materializes the full
@@ -170,8 +172,8 @@ pub use scenario::{
     Adversary, BoxedBehavior, BoxedFaultModel, ProtocolScenario, Scenario, ScenarioResult,
 };
 pub use sink::{
-    CompressedTrace, FingerprintSink, Fingerprinted, FullTrace, RunSummary, StatsSink, TraceMode,
-    TraceSink,
+    FingerprintSink, Fingerprinted, FullTrace, Outline, OutlineSink, RunSummary, StatsSink,
+    TraceMode, TraceSink,
 };
 pub use trace::{
     first_inbox_divergence, payload_reuse, render_divergence, render_execution, round_stats,

@@ -4,18 +4,17 @@
 //! the omission plan and emits routing events to a [`TraceSink`]. What the
 //! run produces is the sink's choice:
 //!
+//! * [`OutlineSink`] keeps what the Theorem 2 falsifier reads of a run —
+//!   outcomes, per-sender sent counts, who omitted what from whom, and the
+//!   inboxes of the processes the caller names — and drops every other
+//!   payload: its [`Outline`] is the form the falsifier examines each
+//!   constructed execution in;
 //! * [`FullTrace`] writes payloads straight into the trace-complete
 //!   [`Execution`](crate::Execution) the proof machinery reads
 //!   (`swap_omission`, `merge`, [`Execution::validate`](crate::Execution::validate),
 //!   certificates); it clones each payload once where it is sent and once
 //!   where it is received (draining the inbox, whose broadcast payloads
 //!   are shared with every receiver of the round);
-//! * [`CompressedTrace`] records the same trace into a caller's
-//!   [`PayloadArena`] as a [`CompressedExecution`] of `u32` handles — the
-//!   form the falsifier's parallel scan keeps resident; it interns by
-//!   reference, cloning a payload only on its first appearance, and
-//!   hydrating it through the arena equals the [`FullTrace`] execution bit
-//!   for bit;
 //! * [`FingerprintSink`] hashes the trace while the run goes, keeping one
 //!   fixed-size record per routing event and no payload: its
 //!   [`Fingerprinted`] output is the 64-bit state identity `ba-check`
@@ -33,10 +32,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
-use crate::arena::{
-    stable_hash, CompressedExecution, CompressedFragment, CompressedRecord, PayloadArena,
-    StableHasher,
-};
+use crate::arena::{stable_hash, StableHasher};
 use crate::campaign::ScenarioStats;
 use crate::execution::{Execution, FaultMode, Outcomes, ProcessRecord, RoundFragment};
 use crate::ids::{ProcessId, Round};
@@ -148,6 +144,183 @@ pub trait TraceSink<P: Protocol> {
 
     /// Closes the run and produces the output.
     fn finish(self, summary: RunSummary<P>) -> Self::Output;
+}
+
+/// The outline sink: keeps what the Theorem 2 falsifier reads of a run and
+/// drops every other payload in place.
+///
+/// Per run it keeps the outcomes, each process's receive-omission count
+/// and the senders it receive-omitted from, and whether it send-omitted
+/// anything; the per-sender sent counts come from the engine's own
+/// counters. Received messages are kept only for the processes named at
+/// construction (the isolated groups a `merge` replays), one map per round
+/// as [`FullTrace`] records them. Every other payload is dropped where it
+/// arrives, so a run costs about what a [`StatsSink`] run costs plus the
+/// kept inboxes.
+pub struct OutlineSink<P: Protocol> {
+    keep: BTreeSet<ProcessId>,
+    proposals: Vec<P::Input>,
+    receive_omissions: Vec<u64>,
+    receive_omitted_from: Vec<BTreeSet<ProcessId>>,
+    send_omitted: Vec<bool>,
+    inboxes: Vec<Option<PerRound<P::Msg>>>,
+}
+
+/// One process's received messages, one map per executed round.
+type PerRound<M> = Vec<BTreeMap<ProcessId, M>>;
+
+impl<P: Protocol> OutlineSink<P> {
+    /// An outline sink that keeps the received messages of `keep` (ids
+    /// outside the run are ignored).
+    pub fn keeping(keep: impl IntoIterator<Item = ProcessId>) -> Self {
+        OutlineSink {
+            keep: keep.into_iter().collect(),
+            proposals: Vec::new(),
+            receive_omissions: Vec::new(),
+            receive_omitted_from: Vec::new(),
+            send_omitted: Vec::new(),
+            inboxes: Vec::new(),
+        }
+    }
+}
+
+impl<P: Protocol> TraceSink<P> for OutlineSink<P> {
+    type Output = Outline<P::Input, P::Output, P::Msg>;
+
+    fn init(&mut self, n: usize, proposals: &[P::Input]) {
+        self.proposals = proposals.to_vec();
+        self.receive_omissions = vec![0; n];
+        self.receive_omitted_from = vec![BTreeSet::new(); n];
+        self.send_omitted = vec![false; n];
+        self.inboxes = ProcessId::all(n)
+            .map(|p| self.keep.contains(&p).then(Vec::new))
+            .collect();
+    }
+
+    fn begin_round(&mut self, _round: Round) {
+        for rounds in self.inboxes.iter_mut().flatten() {
+            rounds.push(BTreeMap::new());
+        }
+    }
+
+    fn sent(&mut self, _round: Round, _sender: ProcessId, _receiver: ProcessId, _payload: &P::Msg) {
+    }
+
+    fn send_omitted(&mut self, _: Round, sender: ProcessId, _: ProcessId, _payload: P::Msg) {
+        self.send_omitted[sender.index()] = true;
+    }
+
+    fn receive_omitted(&mut self, _: Round, sender: ProcessId, receiver: ProcessId, _: P::Msg) {
+        self.receive_omissions[receiver.index()] += 1;
+        self.receive_omitted_from[receiver.index()].insert(sender);
+    }
+
+    fn absorb_inbox(&mut self, round: Round, receiver: ProcessId, inbox: &mut Inbox<P::Msg>) {
+        match &mut self.inboxes[receiver.index()] {
+            // As in `FullTrace`: ascending senders into an exact-size
+            // buffer, then one bulk build.
+            Some(rounds) if !inbox.is_empty() => {
+                let mut received = Vec::with_capacity(inbox.len());
+                received.extend(inbox.drain());
+                rounds[round.index()] = received.into_iter().collect();
+            }
+            _ => inbox.clear(),
+        }
+    }
+
+    fn finish(self, summary: RunSummary<P>) -> Self::Output {
+        Outline {
+            n: summary.n,
+            t: summary.t,
+            faulty: summary.faulty,
+            proposals: self.proposals,
+            decisions: summary.decisions,
+            sent_counts: summary.sent_counts,
+            rounds: summary.rounds,
+            receive_omissions: self.receive_omissions,
+            receive_omitted_from: self.receive_omitted_from,
+            send_omitted: self.send_omitted,
+            inboxes: self.inboxes,
+        }
+    }
+}
+
+/// What an [`OutlineSink`] run produces: the facts of an execution the
+/// Theorem 2 argument reads, each equal to what the [`FullTrace`]
+/// [`Execution`] of the same run records.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct Outline<I, O, M> {
+    /// Number of processes `n`.
+    pub n: usize,
+    /// Resilience bound `t`.
+    pub t: usize,
+    /// The corrupted processes.
+    pub faulty: BTreeSet<ProcessId>,
+    /// Per-process proposal, indexed by process id.
+    pub proposals: Vec<I>,
+    /// Per-process decision and the round at the start of which it first
+    /// appeared, indexed by process id.
+    pub decisions: Vec<Option<(O, Round)>>,
+    /// Per-sender count of successfully sent messages (delivered or
+    /// receive-omitted), indexed by process id.
+    pub sent_counts: Vec<u64>,
+    /// Number of rounds executed.
+    pub rounds: u64,
+    /// Per-process number of receive-omitted messages, indexed by process
+    /// id.
+    pub receive_omissions: Vec<u64>,
+    /// Per-process set of senders it receive-omitted a message from,
+    /// indexed by process id.
+    pub receive_omitted_from: Vec<BTreeSet<ProcessId>>,
+    /// Per-process flag: it send-omitted at least one message.
+    pub send_omitted: Vec<bool>,
+    /// Per-process received messages, one map per executed round, for the
+    /// kept processes only.
+    inboxes: Vec<Option<PerRound<M>>>,
+}
+
+impl<I: Value, O: Value, M: Payload> Outline<I, O, M> {
+    /// The **message complexity**: messages sent by correct processes, as
+    /// [`Execution::message_complexity`] counts them.
+    pub fn message_complexity(&self) -> u64 {
+        self.correct().map(|p| self.sent_counts[p.index()]).sum()
+    }
+
+    /// The round at the start of which every correct process had decided,
+    /// as [`Execution::all_decided_by`] computes it.
+    pub fn all_decided_by(&self) -> Option<Round> {
+        crate::execution::latest_decision_round(
+            self.correct()
+                .map(|p| self.decisions[p.index()].as_ref().map(|(_, r)| *r)),
+        )
+    }
+
+    /// What `pid` received, one map per executed round (`[k - 1]` is round
+    /// `k`), or `None` if the sink was not asked to keep `pid`'s inbox.
+    pub fn inbox(&self, pid: ProcessId) -> Option<&[BTreeMap<ProcessId, M>]> {
+        self.inboxes.get(pid.index())?.as_deref()
+    }
+}
+
+impl<I: Value, O: Value, M> Outcomes for Outline<I, O, M> {
+    type Input = I;
+    type Output = O;
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn faulty(&self) -> &BTreeSet<ProcessId> {
+        &self.faulty
+    }
+
+    fn proposal(&self, pid: ProcessId) -> &I {
+        &self.proposals[pid.index()]
+    }
+
+    fn decision_of(&self, pid: ProcessId) -> Option<&O> {
+        self.decisions[pid.index()].as_ref().map(|(v, _)| v)
+    }
 }
 
 /// The trace-complete sink: materializes the [`Execution`] value the proof
@@ -292,113 +465,6 @@ impl<P: Protocol> TraceSink<P> for FullTrace<P> {
             rec.decision = decision;
         }
         Execution {
-            n: summary.n,
-            t: summary.t,
-            mode: summary.mode,
-            faulty: summary.faulty,
-            records: self.records,
-            rounds: summary.rounds,
-            quiescent: summary.quiescent,
-        }
-    }
-}
-
-/// The arena-backed trace sink: records the same trace as [`FullTrace`],
-/// but interns every payload into a caller's [`PayloadArena`] and produces
-/// a [`CompressedExecution`] of dense [`PayloadId`](crate::PayloadId)
-/// handles. An all-to-all round then costs one stored payload per
-/// *distinct* message instead of one clone per fragment slot.
-///
-/// The falsifier's parallel critical-round scan uses it to keep many
-/// speculative executions resident.
-/// [`CompressedExecution::hydrate`] through the same arena yields exactly
-/// what [`FullTrace`] records for the run.
-pub struct CompressedTrace<'a, P: Protocol> {
-    arena: &'a mut PayloadArena<P::Msg>,
-    records: Vec<CompressedRecord<P::Input, P::Output>>,
-}
-
-impl<'a, P: Protocol> CompressedTrace<'a, P> {
-    /// An empty compressed-trace sink interning into `arena`.
-    pub fn new(arena: &'a mut PayloadArena<P::Msg>) -> Self {
-        CompressedTrace {
-            arena,
-            records: Vec::new(),
-        }
-    }
-
-    fn fragment(&mut self, pid: ProcessId, round: Round) -> &mut CompressedFragment {
-        &mut self.records[pid.index()].fragments[round.index()]
-    }
-}
-
-impl<P: Protocol> TraceSink<P> for CompressedTrace<'_, P> {
-    type Output = CompressedExecution<P::Input, P::Output>;
-
-    fn init(&mut self, _n: usize, proposals: &[P::Input]) {
-        self.records = proposals
-            .iter()
-            .map(|v| CompressedRecord {
-                proposal: v.clone(),
-                decision: None,
-                fragments: Vec::new(),
-            })
-            .collect();
-    }
-
-    fn begin_round(&mut self, _round: Round) {
-        for rec in &mut self.records {
-            rec.fragments.push(CompressedFragment::default());
-        }
-    }
-
-    fn sent(&mut self, round: Round, sender: ProcessId, receiver: ProcessId, payload: &P::Msg) {
-        let id = self.arena.intern(payload);
-        self.fragment(sender, round).sent.insert(receiver, id);
-    }
-
-    fn send_omitted(
-        &mut self,
-        round: Round,
-        sender: ProcessId,
-        receiver: ProcessId,
-        payload: P::Msg,
-    ) {
-        let id = self.arena.intern_owned(payload);
-        self.fragment(sender, round)
-            .send_omitted
-            .insert(receiver, id);
-    }
-
-    fn receive_omitted(
-        &mut self,
-        round: Round,
-        sender: ProcessId,
-        receiver: ProcessId,
-        payload: P::Msg,
-    ) {
-        let id = self.arena.intern_owned(payload);
-        self.fragment(receiver, round)
-            .receive_omitted
-            .insert(sender, id);
-    }
-
-    fn absorb_inbox(&mut self, round: Round, receiver: ProcessId, inbox: &mut Inbox<P::Msg>) {
-        // Intern the round's payloads by reference (a hash probe; a clone
-        // only on a payload's first appearance); ascending sender order
-        // makes the inserts in-order appends.
-        let received = &mut self.records[receiver.index()].fragments[round.index()].received;
-        for (sender, payload) in inbox.iter() {
-            received.insert(sender, self.arena.intern(payload));
-        }
-        inbox.clear();
-    }
-
-    fn finish(mut self, summary: RunSummary<P>) -> Self::Output {
-        for (rec, decision) in self.records.iter_mut().zip(summary.decisions) {
-            rec.decision = decision;
-        }
-        CompressedExecution {
             n: summary.n,
             t: summary.t,
             mode: summary.mode,

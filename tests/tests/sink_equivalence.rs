@@ -7,12 +7,15 @@
 //! This is the property that lets campaigns default to stats-only sweeps
 //! (`TraceMode::Stats`) without changing a single reported number.
 //!
-//! Over the same grid, the in-place [`FullTrace`] execution must equal the
-//! arena-recorded [`CompressedTrace`] one hydrated through its arena. And
-//! the [`FingerprintSink`] run must report the full execution's outcomes,
-//! with fingerprints that are equal exactly when the full traces are,
-//! among all runs of one `(n, t)` cell — which pins `ba-check`'s state
-//! counts (it deduplicates by that fingerprint) to the full traces.
+//! Over the same grid, the [`OutlineSink`] run must record exactly what the
+//! [`FullTrace`] execution shows of the facts the falsifier reads:
+//! outcomes with decision rounds, sent counts and message complexity, who
+//! receive-omitted how many messages from whom, who send-omitted, and the
+//! kept processes' inboxes. And the [`FingerprintSink`] run must report
+//! the full execution's outcomes, with fingerprints that are equal exactly
+//! when the full traces are, among all runs of one `(n, t)` cell — which
+//! pins `ba-check`'s state counts (it deduplicates by that fingerprint) to
+//! the full traces.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -24,17 +27,17 @@ use ba_protocols::broken::{
 };
 use ba_protocols::{DolevStrong, EigConsensus, FloodSet, PhaseKing};
 use ba_sim::{
-    Adversary, Bit, Campaign, CompressedTrace, Execution, FingerprintSink, Outcomes, Payload,
-    PayloadArena, ProcessId, Protocol, ProtocolScenario, RandomOmissionPlan, Round, Scenario,
-    ScenarioStats, SilentByzantine, SimRng, TraceMode,
+    Adversary, Bit, Campaign, Execution, FingerprintSink, Outcomes, OutlineSink, Payload,
+    ProcessId, Protocol, ProtocolScenario, RandomOmissionPlan, Round, Scenario, ScenarioStats,
+    SilentByzantine, SimRng, TraceMode,
 };
 
 /// Adversary flavors under test. `mixed` corrupts two processes, so it only
 /// applies when `t >= 2` (and `n >= 3` keeps the sets disjoint from p0).
-/// The trailing three are the adaptive fault-model family: corruption
-/// chosen mid-run, moved under a budget, or combined with seeded delivery
-/// rescheduling — the equivalence must hold for execution-observing
-/// adversaries too.
+/// Then come the adaptive fault-model family — corruption chosen mid-run,
+/// moved under a budget, or combined with seeded delivery rescheduling —
+/// and a forging adversary: the equivalence must hold for
+/// execution-observing and message-forging adversaries too.
 const ADVERSARIES: &[&str] = &[
     "none",
     "isolation",
@@ -45,11 +48,20 @@ const ADVERSARIES: &[&str] = &[
     "adaptive-worst-case",
     "mobile",
     "scheduler",
+    "forge",
 ];
 
 const INPUTS: &[&str] = &["zeros", "ones", "alternating", "random"];
 
-fn adversary<M: Payload>(label: &str, n: usize, t: usize, seed: u64) -> Adversary<'static, Bit, M> {
+/// The adversary of `label`; `forged` is the payload the forging adversary
+/// substitutes for every message of the last process.
+fn adversary<M: Payload>(
+    label: &str,
+    n: usize,
+    t: usize,
+    seed: u64,
+    forged: Option<M>,
+) -> Adversary<'static, Bit, M> {
     let last = ProcessId(n - 1);
     match label {
         "none" => Adversary::none(),
@@ -71,6 +83,7 @@ fn adversary<M: Payload>(label: &str, n: usize, t: usize, seed: u64) -> Adversar
         "adaptive-worst-case" => Adversary::adaptive_worst_case(t),
         "mobile" => Adversary::mobile((n - t..n).map(ProcessId), 2),
         "scheduler" => Adversary::scheduler(last, (n - 1) / 2, seed ^ 0xC0DE),
+        "forge" => Adversary::forge([last], forged.expect("a payload to forge")),
         other => panic!("unknown adversary label {other:?}"),
     }
 }
@@ -97,22 +110,42 @@ trait ScenarioCheck {
 }
 
 /// Builds one grid scenario; the seed depends on `(n, t)` only.
+///
+/// The forging adversary replays the first message the protocol sends in
+/// its fault-free run with the same inputs (a well-formed payload, even a
+/// signed one); a protocol that never sends has nothing to forge, and
+/// `forge` yields no scenario for it.
 fn scenario<'a, P, F>(
     n: usize,
     t: usize,
     factory: &'a F,
     adv: &str,
     inp: &str,
-) -> ProtocolScenario<'a, P, &'a F>
+) -> Option<ProtocolScenario<'a, P, &'a F>>
 where
     P: Protocol<Input = Bit, Output = Bit>,
     F: Fn(ProcessId) -> P,
 {
     let seed = (n as u64) << 32 | (t as u64) << 16 | 7;
-    Scenario::new(n, t)
-        .protocol(factory)
-        .inputs(inputs(inp, n, seed))
-        .adversary(adversary(adv, n, t, seed))
+    let build = || {
+        Scenario::new(n, t)
+            .protocol(factory)
+            .inputs(inputs(inp, n, seed))
+    };
+    let forged = if adv == "forge" {
+        let fault_free = build().run().expect("the fault-free run succeeds");
+        let first = fault_free
+            .records
+            .iter()
+            .flat_map(|r| &r.fragments)
+            .flat_map(|f| f.sent.values())
+            .next()
+            .cloned();
+        Some(first?)
+    } else {
+        None
+    };
+    Some(build().adversary(adversary(adv, n, t, seed, forged)))
 }
 
 /// Runs one scenario through both engines and asserts identical outcomes —
@@ -125,12 +158,18 @@ impl ScenarioCheck for StatsMatchFullTrace {
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
     {
-        let full = scenario(n, t, &factory, adv, inp).run().map(|exec| {
+        let (Some(full), Some(stats)) = (
+            scenario(n, t, &factory, adv, inp),
+            scenario(n, t, &factory, adv, inp),
+        ) else {
+            return;
+        };
+        let full = full.run().map(|exec| {
             exec.validate()
                 .unwrap_or_else(|e| panic!("{context}: engine produced invalid execution: {e}"));
             ScenarioStats::from_execution(&exec)
         });
-        let stats = scenario(n, t, &factory, adv, inp).run_stats();
+        let stats = stats.run_stats();
         assert_eq!(
             full, stats,
             "{context}: StatsSink diverged from FullTrace-derived stats"
@@ -138,36 +177,88 @@ impl ScenarioCheck for StatsMatchFullTrace {
     }
 }
 
-/// Runs one scenario through `FullTrace` and `CompressedTrace` and asserts
-/// the hydrated compressed run equals the full one.
-struct FullTraceMatchesArena;
+/// Runs one scenario through `FullTrace` and `OutlineSink` (keeping the
+/// odd-numbered processes' inboxes) and asserts the outline records what
+/// the full execution shows of every fact it keeps, and no inbox it was
+/// not asked to keep.
+struct OutlineMatchesFullTrace;
 
-impl ScenarioCheck for FullTraceMatchesArena {
+impl ScenarioCheck for OutlineMatchesFullTrace {
     fn check<P, F>(&self, context: &str, n: usize, t: usize, factory: F, adv: &str, inp: &str)
     where
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
     {
-        let full = scenario(n, t, &factory, adv, inp).run();
-        let mut arena = PayloadArena::new();
-        let compressed =
-            scenario(n, t, &factory, adv, inp).run_with_sink(CompressedTrace::new(&mut arena));
-        let (full, compressed) = match (full, compressed) {
-            (Ok(full), Ok(compressed)) => (full, compressed),
-            (full, compressed) => {
+        let (Some(full), Some(outlined)) = (
+            scenario(n, t, &factory, adv, inp),
+            scenario(n, t, &factory, adv, inp),
+        ) else {
+            return;
+        };
+        let keep = ProcessId::all(n).filter(|p| p.0 % 2 == 1);
+        let (full, outline) = match (
+            full.run(),
+            outlined.run_with_sink(OutlineSink::keeping(keep)),
+        ) {
+            (Ok(full), Ok(outline)) => (full, outline),
+            (full, outline) => {
                 assert_eq!(
                     full.err(),
-                    compressed.err(),
+                    outline.err(),
                     "{context}: the sinks disagree on the run's outcome"
                 );
                 return;
             }
         };
         assert_eq!(
-            full,
-            compressed.hydrate(&arena),
-            "{context}: FullTrace diverged from the hydrated CompressedTrace"
+            outcome_view(&outline),
+            outcome_view(&full),
+            "{context}: the outlined outcomes diverged from FullTrace"
         );
+        let decisions: Vec<_> = full.records.iter().map(|r| r.decision).collect();
+        assert_eq!(
+            outline.decisions, decisions,
+            "{context}: decision rounds diverged from FullTrace"
+        );
+        assert_eq!(outline.all_decided_by(), full.all_decided_by(), "{context}");
+        assert_eq!(outline.rounds, full.rounds, "{context}");
+        assert_eq!(
+            outline.message_complexity(),
+            full.message_complexity(),
+            "{context}: message complexity diverged from FullTrace"
+        );
+        for p in ProcessId::all(n) {
+            let record = full.record(p);
+            assert_eq!(
+                outline.sent_counts[p.index()],
+                record.total_sent(),
+                "{context}: {p}'s sent count"
+            );
+            assert_eq!(
+                outline.receive_omissions[p.index()],
+                record.all_receive_omitted().count() as u64,
+                "{context}: {p}'s receive-omission count"
+            );
+            let senders: BTreeSet<ProcessId> =
+                record.all_receive_omitted().map(|(_, s, _)| s).collect();
+            assert_eq!(
+                outline.receive_omitted_from[p.index()],
+                senders,
+                "{context}: whom {p} receive-omitted from"
+            );
+            assert_eq!(
+                outline.send_omitted[p.index()],
+                record.all_send_omitted().next().is_some(),
+                "{context}: whether {p} send-omitted"
+            );
+            let received: Vec<_> = record
+                .fragments
+                .iter()
+                .map(|f| f.received.clone())
+                .collect();
+            let kept = (p.0 % 2 == 1).then_some(received.as_slice());
+            assert_eq!(outline.inbox(p), kept, "{context}: {p}'s kept inbox");
+        }
     }
 }
 
@@ -217,10 +308,14 @@ impl ScenarioCheck for FingerprintsSeparateFullTraces {
         P: Protocol<Input = Bit, Output = Bit>,
         F: Fn(ProcessId) -> P,
     {
-        let full = scenario(n, t, &factory, adv, inp).run();
-        let fingerprinted =
-            scenario(n, t, &factory, adv, inp).run_with_sink(FingerprintSink::new());
-        let (full, fingerprinted) = match (full, fingerprinted) {
+        let (Some(full), Some(fingerprinted)) = (
+            scenario(n, t, &factory, adv, inp),
+            scenario(n, t, &factory, adv, inp),
+        ) else {
+            return;
+        };
+        let fingerprinted = fingerprinted.run_with_sink(FingerprintSink::new());
+        let (full, fingerprinted) = match (full.run(), fingerprinted) {
             (Ok(full), Ok(fingerprinted)) => (full, fingerprinted),
             (full, fingerprinted) => {
                 assert_eq!(
@@ -351,8 +446,8 @@ fn stats_sink_matches_full_trace_for_all_protocols_and_adversaries() {
 }
 
 #[test]
-fn full_trace_matches_the_hydrated_compressed_trace() {
-    over_grid(&FullTraceMatchesArena);
+fn outline_matches_full_trace_for_all_protocols_and_adversaries() {
+    over_grid(&OutlineMatchesFullTrace);
 }
 
 #[test]
